@@ -158,7 +158,7 @@ def _cmd_stepup_verify(args) -> int:
     chi = build_tower(base, target_k, cap).top
     spec = FamilySpec(target_k, args.n, args.I, families.FLAVOR_F)
     budget = None
-    if args.max_nodes or args.max_seconds:
+    if args.max_nodes is not None or args.max_seconds is not None:
         budget = search.SearchBudget(args.max_nodes, args.max_seconds)
     report_obj = search.verify_stepup_avoidance(chi, spec, budget, args.workers)
     report = report_obj.to_json(include_timing=False)

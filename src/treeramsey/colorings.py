@@ -4,15 +4,17 @@ A base coloring assigns a color to every r-subset of [n], materialized
 as a flat table keyed by colex rank.  A stepped coloring lifts a
 coloring of (k-1)-subsets of [N] to a 4-coloring of k-subsets of the
 2**N leaves of the depth-N tree: combs are colored through the
-projection, non-combs (k >= 4 only) by their split type.  Only the base
-table is ever materialized; stepped colorings evaluate per query.
+projection, non-combs (k >= 4 only) by their split type.  The base
+table is materialized up front; a stepped coloring fills a table keyed
+by the query's level profile as queries arrive, so it never holds more
+than depth**(k-1) entries.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .trees import LeafSet, TreeParams
@@ -89,6 +91,16 @@ class SteppedColoring:
     """
 
     inner: Union[BaseColoring, "SteppedColoring"]
+    # Colors by level profile: the bit lengths of (a-1) ^ (b-1) over
+    # consecutive leaves, each depth + 1 minus that pair's ancestor
+    # level, so the profile is the level word.  Comb versus split, the
+    # split type and the projection are all functions of the level
+    # word, so it determines the color.
+    # Filled lazily by _eval; left out of equality, hashing and repr so
+    # a warmed coloring is indistinguishable from a fresh one.
+    _table: dict[tuple[int, ...], int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.uniformity == 3 and self.inner_palette != BINARY:
@@ -133,12 +145,18 @@ class SteppedColoring:
     def _eval(self, elems: tuple[int, ...]) -> int:
         # Hot path: callers guarantee a sorted, in-range, duplicate-free
         # tuple of the right arity.
+        profile = tuple(
+            [((a - 1) ^ (b - 1)).bit_length() for a, b in zip(elems, elems[1:])]
+        )
+        color = self._table.get(profile)
+        if color is None:
+            color = self._table[profile] = self._color_of_profile(profile)
+        return color
+
+    def _color_of_profile(self, profile: tuple[int, ...]) -> int:
         depth = self.inner.ground_size
-        levels = [
-            depth - ((a - 1) ^ (b - 1)).bit_length() + 1
-            for a, b in zip(elems, elems[1:])
-        ]
-        k = len(elems)
+        levels = [depth - p + 1 for p in profile]
+        k = len(levels) + 1
         decreasing = all(a > b for a, b in zip(levels, levels[1:]))
         increasing = not decreasing and all(
             a < b for a, b in zip(levels, levels[1:])

@@ -64,6 +64,20 @@ class TestExitCodes:
         )
         assert code == 3
 
+    def test_zero_node_budget_is_three(self, tmp_path, capsys):
+        # a zero budget still bounds the search; unbounded, this base
+        # yields a witness and exits 1
+        path = tmp_path / "z.coloring"
+        write_coloring(all_zero_coloring(4), path)
+        out = tmp_path / "run"
+        code = run(
+            ["stepup", "verify", "--base", str(path), "--k", "3", "--n", "4",
+             "--I", "1,2", "--max-nodes", "0", "--out", str(out)]
+        )
+        assert code == 3
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "indeterminate"
+
     def test_mono_witness_run(self, tmp_path, capsys):
         path = tmp_path / "z.coloring"
         write_coloring(all_zero_coloring(4), path)

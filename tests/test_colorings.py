@@ -12,9 +12,13 @@ from treeramsey import (
     Z4,
     BaseColoring,
     CliqueWitness,
+    LeafSet,
+    ShapeKind,
     SteppedColoring,
     TreeParams,
+    ancestor_level,
     build_tower,
+    classify,
     export_coloring,
     import_coloring,
     reflect_leaf,
@@ -23,8 +27,14 @@ from treeramsey import (
     verify_no_mono_clique,
 )
 from treeramsey.colorings import colex_rank, subsets_colex
+from treeramsey.search import ReflectedColoring
 
-from conftest import all_zero_coloring, c4_coloring
+from conftest import (
+    all_zero_coloring,
+    c4_coloring,
+    random_left_comb,
+    random_right_comb,
+)
 
 
 def single_pair_base(color_of_12: int) -> BaseColoring:
@@ -111,6 +121,95 @@ class TestSteppedRuleUniformityFourPlus:
         # levels (15, 16, 1): non-monotone, lone vertex on the right
         assert chi4.color_of((2, 3, 4, 50000)) == 1
         assert chi4.color_of(tuple(sorted(m - x for x in (2, 3, 4, 50000)))) == 2
+
+
+def reference_color(chi: SteppedColoring, X: tuple[int, ...]) -> int:
+    """The stepping rule evaluated from scratch on every call.
+
+    Levels come from trees.ancestor_level and the split type from
+    trees.classify; no table of chi or of its inner levels is read.
+    """
+    inner = chi.inner
+    levels = [ancestor_level(a, b, chi.params) for a, b in zip(X, X[1:])]
+    proj = tuple(sorted(levels))
+    shape = classify(LeafSet(X, chi.params))
+    if shape.kind is ShapeKind.SPLIT:
+        assert chi.uniformity >= 4
+        if shape.balanced:
+            return 0
+        return 1 if shape.head_split else 2
+    if isinstance(inner, BaseColoring):
+        c = inner.color_of(proj)
+    else:
+        c = reference_color(inner, proj)
+    left = shape.kind is ShapeKind.LEFT_COMB
+    if chi.uniformity == 3:
+        return c if left else 3 - c
+    return 3 - c if left else c
+
+
+@st.composite
+def towers_and_queries(draw):
+    """A stepped coloring with query sets, combs among them.
+
+    Random binary bases on 2..5 points stepped to k = 3 (up to 32
+    leaves) or on 2..4 points stepped to k = 4 (up to 65,536 leaves),
+    and the 2-point base stepped to k = 5 on 65,536 leaves.
+    """
+    k, n_max = draw(st.sampled_from([(3, 5), (4, 4), (5, 2)]))
+    n = draw(st.integers(2, n_max))
+    pairs = n * (n - 1) // 2
+    table = tuple(draw(st.lists(st.integers(0, 1), min_size=pairs, max_size=pairs)))
+    chi = build_tower(BaseColoring(2, n, BINARY, table), k).top
+    M, N = chi.ground_size, chi.depth
+    queries = draw(
+        st.lists(
+            st.sets(st.integers(1, M), min_size=k, max_size=k).map(
+                lambda s: tuple(sorted(s))
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    if k <= N + 1:
+        rng = draw(st.randoms(use_true_random=False))
+        for _ in range(10):
+            queries.append(tuple(random_left_comb(rng, N, k)))
+            queries.append(tuple(random_right_comb(rng, N, k)))
+    return chi, queries
+
+
+class TestProfileTable:
+    @settings(max_examples=60, deadline=None)
+    @given(towers_and_queries())
+    def test_matches_uncached_rule(self, case):
+        chi, queries = case
+        assert not chi._table
+        expected = [reference_color(chi, X) for X in queries]
+        # first pass fills the table, second pass reads it back
+        for _ in range(2):
+            assert [chi.color_of(X) for X in queries] == expected
+            assert [chi._eval(X) for X in queries] == expected
+        assert 0 < len(chi._table) <= chi.depth ** (chi.uniformity - 1)
+        mirrored = ReflectedColoring(chi)
+        p = chi.params
+        for X in queries:
+            assert mirrored._eval(X) == reference_color(chi, reflect_set(X, p))
+
+    def test_table_is_invisible(self):
+        base = BaseColoring.from_function(
+            2, 3, BINARY, lambda s: 0 if tuple(sorted(s)) == (1, 3) else 1
+        )
+        fresh = build_tower(base, 4)
+        warmed = build_tower(base, 4)
+        rng = random.Random(11)
+        for _ in range(500):
+            warmed.top.color_of(rng.sample(range(1, 257), 4))
+        assert warmed.top._table and not fresh.top._table
+        assert warmed == fresh and warmed.top == fresh.top
+        assert hash(warmed.top) == hash(fresh.top)
+        assert repr(warmed.top) == repr(fresh.top)
+        assert repr(warmed) == repr(fresh)
 
 
 class TestReflection:

@@ -162,6 +162,14 @@ class TestMonoCopySearch:
             one = find_mono_f_copy(chi0, rev, {3}, workers=1, rev_method=method)
             two = find_mono_f_copy(chi0, rev, {3}, workers=2, rev_method=method)
             assert one.witness == two.witness
+        # a coloring whose profile table is already filled is pickled to
+        # the workers with it and must answer the same
+        warmed = build_tower(all_zero_coloring(4), 3).top
+        find_mono_f_copy(warmed, spec, {0}, workers=1)
+        assert warmed._table
+        for workers in (1, 2):
+            outcome = find_mono_f_copy(warmed, spec, {0}, workers=workers)
+            assert outcome.witness == seq.witness
 
 
 class TestAvoidanceReport:
