@@ -273,7 +273,7 @@ class _RawSystem:
     def __init__(self, obj: dict):
         self.vertex_count = obj["v"]
         self.k = obj["k"]
-        self.edges = tuple(tuple(sorted(e)) for e in obj.get("edges", ()))
+        self.edges = tuple(tuple(sorted(e)) for e in obj["edges"])
         params = obj.get("params")
         self.n = params["n"] if params else None
 

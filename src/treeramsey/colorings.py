@@ -40,6 +40,17 @@ def subsets_colex(n: int, r: int):
             yield rest + (last,)
 
 
+def level_profile(elems: Sequence[int]) -> tuple[int, ...]:
+    """Bit lengths of (a-1) ^ (b-1) over consecutive leaves.
+
+    Each entry is depth + 1 minus that pair's ancestor level, so the
+    profile is the level word of the leaf set.  Reflecting every leaf
+    (x -> 2**N + 1 - x) complements a-1 and b-1 in N bits and leaves
+    their XOR, hence the profile, unchanged.
+    """
+    return tuple([((a - 1) ^ (b - 1)).bit_length() for a, b in zip(elems, elems[1:])])
+
+
 @dataclass(frozen=True)
 class BaseColoring:
     """Total coloring of the r-subsets of [n], one table entry per subset."""
@@ -91,10 +102,8 @@ class SteppedColoring:
     """
 
     inner: Union[BaseColoring, "SteppedColoring"]
-    # Colors by level profile: the bit lengths of (a-1) ^ (b-1) over
-    # consecutive leaves, each depth + 1 minus that pair's ancestor
-    # level, so the profile is the level word.  Comb versus split, the
-    # split type and the projection are all functions of the level
+    # Colors by level profile (see level_profile).  Comb versus split,
+    # the split type and the projection are all functions of the level
     # word, so it determines the color.
     # Filled lazily by _eval; left out of equality, hashing and repr so
     # a warmed coloring is indistinguishable from a fresh one.
@@ -142,12 +151,15 @@ class SteppedColoring:
             raise ValueError(f"leaves out of range [1, {self.ground_size}]")
         return self._eval(elems)
 
+    # The admissible-set memo of the search may key on the level profile
+    # of (x_1, leaves): it determines the color of every edge (v, leaves)
+    # with v <= x_1 once v and x_1 are known.
+    memo_key = staticmethod(level_profile)
+
     def _eval(self, elems: tuple[int, ...]) -> int:
         # Hot path: callers guarantee a sorted, in-range, duplicate-free
         # tuple of the right arity.
-        profile = tuple(
-            [((a - 1) ^ (b - 1)).bit_length() for a, b in zip(elems, elems[1:])]
-        )
+        profile = level_profile(elems)
         color = self._table.get(profile)
         if color is None:
             color = self._table[profile] = self._color_of_profile(profile)

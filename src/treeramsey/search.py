@@ -6,7 +6,9 @@ leaf in [x_0, x_1] whose edge through J has the target color.  Once the
 chain and the color are fixed the connector choices are independent
 (distinct J never constrain each other), so the search enumerates
 chains with incremental pruning and reduces each J to a nonemptiness
-question, memoized on (x_0, x_1, the edge's level profile).
+question, memoized on (x_0, x_1, the evaluator's memo_key of (x_1,
+leaves)): the level profile for tree colorings, the exact leaves for
+edge-membership tests and for any evaluator that declares no key.
 
 Witness tie-breaking is lexicographic in (color, chain, connector
 assignment in colex-J order); reversed-flavor witnesses compare through
@@ -117,11 +119,18 @@ class SearchOutcome:
     counters: SearchCounters
 
 
+def _exact_leaves(leaves: tuple[int, ...]) -> tuple[int, ...]:
+    return leaves
+
+
 class ReflectedColoring:
     """View of a coloring with the leaf order reversed."""
 
     def __init__(self, inner):
         self.inner = inner
+        # Both memo keys in use survive reflection: it keeps the XOR of
+        # (a-1, b-1), hence the level profile, and is a bijection on leaves.
+        self.memo_key = getattr(inner, "memo_key", _exact_leaves)
         self.uniformity = inner.uniformity
         self.ground_size = inner.ground_size
 
@@ -135,7 +144,10 @@ class MembershipColoring:
 
     Lets the monochromatic-copy engine double as an ordered-containment
     test: a color-0 copy is exactly an ordered subgraph embedding.
+    Membership depends on the exact leaves, so they are the memo key.
     """
+
+    memo_key = staticmethod(_exact_leaves)
 
     def __init__(self, host: OrderedHypergraph):
         self.uniformity = host.uniformity
@@ -156,6 +168,7 @@ def _search_chains_ascending(evaluator, spec_fields, color, x0_values, budget):
     k, n, I = spec_fields
     M = evaluator.ground_size
     eval_edge = evaluator._eval
+    key_of = getattr(evaluator, "memo_key", _exact_leaves)
     connectors_by_max: dict[int, list[tuple[int, ...]]] = {}
     import itertools
 
@@ -183,11 +196,7 @@ def _search_chains_ascending(evaluator, spec_fields, color, x0_values, budget):
                 raise BudgetExceeded
 
     def admissible_min(x0, x1, leaves):
-        prof = [x1] + list(leaves)
-        profile = tuple(
-            ((a - 1) ^ (b - 1)).bit_length() for a, b in zip(prof, prof[1:])
-        )
-        key = (x0, x1, profile)
+        key = (x0, x1, key_of((x1,) + leaves))
         if key in memo:
             counters.memo_hits += 1
             return memo[key]
@@ -260,6 +269,7 @@ def _search_chains_descending(evaluator, spec_fields, color, x0_values, budget):
     k, n, I = spec_fields
     M = evaluator.ground_size
     eval_edge = evaluator._eval
+    key_of = getattr(evaluator, "memo_key", _exact_leaves)
     import itertools
 
     connectors_by_max: dict[int, list[tuple[int, ...]]] = {}
@@ -288,11 +298,7 @@ def _search_chains_descending(evaluator, spec_fields, color, x0_values, budget):
 
     def admissible_max(x0, x1, leaves):
         # leaves holds (x_{j_1}, x_{j_2}, ...) in role order, values falling.
-        prof = [x1] + list(leaves)
-        profile = tuple(
-            ((a - 1) ^ (b - 1)).bit_length() for a, b in zip(prof, prof[1:])
-        )
-        key = (x0, x1, profile)
+        key = (x0, x1, key_of((x1,) + leaves))
         if key in memo:
             counters.memo_hits += 1
             return memo[key]
@@ -643,4 +649,9 @@ def contains_family_member(host: OrderedHypergraph, spec: FamilySpec) -> bool:
     if host.uniformity != spec.k or host.v < spec.n + 1:
         return False
     outcome = find_mono_f_copy(MembershipColoring(host), spec, {0})
-    return outcome.status == WITNESS
+    if outcome.status != WITNESS:
+        return False
+    missing = set(outcome.witness.edges(spec.I)) - host.edge_set
+    if missing:
+        raise AssertionError(f"containment witness uses non-edges {sorted(missing)}")
+    return True

@@ -7,6 +7,13 @@ by J, so each transversal extends to exactly one edge.  Copies of that
 system are then placed on the lines of a projective plane of prime
 order via independently seeded random injections; since two lines share
 at most one point, the union stays a partial (k, k-1)-system.
+
+The plane layer costs O(N*p) steps for N = p**2+p+1 points: each line
+is solved for directly in canonical coordinates, and a plane is
+validated by point incidence (every point on p+1 lines that together
+reach every point), which forces exact pair cover and, by counting,
+that every two lines meet exactly once.  Plane and system files are
+checked on read.
 """
 
 from __future__ import annotations
@@ -14,7 +21,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import math
 import random
 import time
 from dataclasses import dataclass
@@ -28,6 +34,7 @@ from .families import (
     canonical_member,
     connector_sets,
 )
+from .reporting import check_schema
 from .search import find_ordered_copy
 
 SYSTEM_SCHEMA = "treeramsey/system/1"
@@ -199,15 +206,20 @@ class ProjectivePlane:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ProjectivePlane":
-        allowed = {"schema", "order", "points", "lines"}
-        unknown = set(obj) - allowed
-        if unknown:
-            raise ValueError(f"unknown fields in plane JSON: {sorted(unknown)}")
-        if obj.get("schema") != PLANE_SCHEMA:
-            raise ValueError(f"expected schema {PLANE_SCHEMA}")
-        plane = cls(obj["order"], tuple(tuple(line) for line in obj["lines"]))
-        if obj["points"] != plane.num_points:
+        """Read a plane document; raise unless it is a valid plane."""
+        check_schema(obj, PLANE_SCHEMA, {"order", "points", "lines"})
+        order, lines = obj.get("order"), obj.get("lines")
+        if type(order) is not int:
+            raise ValueError(f"plane order must be an integer, got {order!r}")
+        if not isinstance(lines, list) or not all(
+            isinstance(line, list) and all(type(x) is int for x in line)
+            for line in lines
+        ):
+            raise ValueError("plane lines must be a list of integer lists")
+        plane = cls(order, tuple(map(tuple, lines)))
+        if obj.get("points") != plane.num_points:
             raise ValueError("point count inconsistent with order")
+        validate_projective_plane(plane)
         return plane
 
 
@@ -215,52 +227,61 @@ def build_projective_plane(p: int) -> ProjectivePlane:
     """The plane over the p-element field, prime p only.
 
     Points are the 1-dimensional subspaces of a 3-dimensional vector
-    space, numbered 1.. p**2+p+1 by canonical representative; a line
-    collects the points orthogonal to one such representative.
+    space, numbered 1.. p**2+p+1 by canonical representative (first
+    nonzero coordinate 1): (1, y, z) is 1 + p*y + z, (0, 1, z) is
+    p**2 + 1 + z and (0, 0, 1) is p**2 + p + 1.  The line orthogonal to
+    a representative (a, b, c) is solved for directly, O(p) per line.
     """
     if not _is_prime(p):
         raise ValueError(
             f"unsupported order {p}: only prime orders are constructed"
         )
-    reps = (
-        [(1, y, z) for y in range(p) for z in range(p)]
-        + [(0, 1, z) for z in range(p)]
-        + [(0, 0, 1)]
-    )
-    point_id = {rep: i + 1 for i, rep in enumerate(reps)}
+    reps = [(1, y, z) for y in range(p) for z in range(p)]
+    reps += [(0, 1, z) for z in range(p)] + [(0, 0, 1)]
     lines = []
     for a, b, c in reps:
-        line = tuple(
-            sorted(
-                point_id[rep]
-                for rep in reps
-                if (a * rep[0] + b * rep[1] + c * rep[2]) % p == 0
-            )
-        )
-        lines.append(line)
+        if c:  # z = -(a + b*y)/c for each y, and (0, 1, -b/c)
+            s = -pow(c, p - 2, p)
+            line = [1 + p * y + (a + b * y) * s % p for y in range(p)]
+            line.append(p * p + 1 + b * s % p)
+        elif b:  # y = -a/b for each z, and (0, 0, 1)
+            y = -a * pow(b, p - 2, p) % p
+            line = [1 + p * y + z for z in range(p)] + [p * p + p + 1]
+        else:  # (1, 0, 0): the points with first coordinate 0
+            line = [p * p + 1 + z for z in range(p + 1)]
+        lines.append(tuple(sorted(line)))
     return ProjectivePlane(p, tuple(sorted(lines)))
 
 
 def validate_projective_plane(plane: ProjectivePlane) -> None:
-    """Raise unless the incidence axioms hold (counts, pair cover, meets)."""
-    expected = plane.num_points
-    if len(plane.lines) != expected:
-        raise ValueError(f"{len(plane.lines)} lines, expected {expected}")
+    """Raise unless the lines form a projective plane of the plane's order.
+
+    Requires, with N = p**2+p+1: N lines of p+1 points strictly rising
+    in [1, N]; every point x on p+1 lines whose (p+1)**2 points, chained,
+    take all N values.  x fills p+1 of those entries, so the other
+    p(p+1) = N-1 are the other points once each: exact pair cover.
+    Hence two lines meet at most once, and every line meets a line L:
+    the p lines besides L through each of L's p+1 points are distinct
+    (two of them sharing two points is ruled out), so they are
+    p(p+1) = N-1 lines, every line but L.  Work: O(N*p) steps, one set
+    of (p+1)**2 points per point.
+    """
+    p, N = plane.order, plane.num_points
+    if p < 2:
+        raise ValueError(f"order {p} is below 2")
+    if len(plane.lines) != N:
+        raise ValueError(f"{len(plane.lines)} lines, expected {N}")
+    through: list[list[tuple[int, ...]]] = [[] for _ in range(N + 1)]
     for line in plane.lines:
-        if len(line) != plane.order + 1:
-            raise ValueError(f"line {line} has {len(line)} points")
-        if line[0] < 1 or line[-1] > expected:
-            raise ValueError(f"line {line} out of range")
-    pair_lines: dict[tuple[int, int], int] = {}
-    for line in plane.lines:
-        for pair in itertools.combinations(line, 2):
-            pair_lines[pair] = pair_lines.get(pair, 0) + 1
-    total_pairs = math.comb(expected, 2)
-    if len(pair_lines) != total_pairs or any(c != 1 for c in pair_lines.values()):
-        raise ValueError("some point pair is not covered exactly once")
-    for l1, l2 in itertools.combinations(plane.lines, 2):
-        if len(set(l1) & set(l2)) != 1:
-            raise ValueError(f"lines {l1} and {l2} do not meet in one point")
+        if len(line) != p + 1 or line[0] < 1 or line[-1] > N or any(
+            a >= b for a, b in zip(line, line[1:])
+        ):
+            raise ValueError(f"line {line} is not {p + 1} increasing points in [1, {N}]")
+        for x in line:
+            through[x].append(line)
+    for x in range(1, N + 1):
+        if len(through[x]) != p + 1 or len(set(itertools.chain(*through[x]))) != N:
+            raise ValueError(f"the lines through point {x} do not cover each point once")
 
 
 class SteinerWitness(NamedTuple):
@@ -457,14 +478,25 @@ def sample_ordering_and_search(
     return MonteCarloReport(spec, trials, seed, found, tuple(failures), tuple(trial_ms))
 
 
-def read_system(path):
-    """Load a system file; returns (OrderedHypergraph-like edges, k, params)."""
+def read_system(path) -> dict:
+    """Load a system file: a positive integer v, an integer k and edges,
+    a list of k-lists of distinct integers in [1, v]."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    allowed = {"schema", "v", "k", "edges", "provenance", "params"}
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ValueError(f"unknown fields in system JSON: {sorted(unknown)}")
-    if obj.get("schema") != SYSTEM_SCHEMA:
-        raise ValueError(f"expected schema {SYSTEM_SCHEMA}")
+    check_schema(obj, SYSTEM_SCHEMA, {"v", "k", "edges", "provenance", "params"})
+    v, k, edges = obj.get("v"), obj.get("k"), obj.get("edges")
+    if type(v) is not int or v < 1:
+        raise ValueError(f"system v must be a positive integer, got {v!r}")
+    if type(k) is not int:
+        raise ValueError(f"system k must be an integer, got {k!r}")
+    if not isinstance(edges, list):
+        raise ValueError("system edges must be a list")
+    for e in edges:
+        if not (
+            isinstance(e, list)
+            and len(e) == k
+            and all(type(x) is int and 1 <= x <= v for x in e)
+            and len(set(e)) == k
+        ):
+            raise ValueError(f"edge {e!r} is not {k} distinct vertices in [1, {v}]")
     return obj

@@ -230,6 +230,64 @@ class TestCommands:
         assert report["projection"] == [2, 3, 4]
 
 
+class TestMalformedSteinerFiles:
+    """Broken plane and system files exit 2 with a JSON error."""
+
+    @staticmethod
+    def write(path, obj):
+        from treeramsey.reporting import dump_json
+
+        path.write_text(dump_json(obj))
+        return str(path)
+
+    def assemble(self, tmp_path, plane_obj):
+        from treeramsey.steiner import SYSTEM_SCHEMA
+
+        system = self.write(
+            tmp_path / "s.json",
+            {"schema": SYSTEM_SCHEMA, "v": 3, "k": 3, "edges": [[1, 2, 3]]},
+        )
+        plane = self.write(tmp_path / "plane.json", plane_obj)
+        return run(
+            ["steiner", "assemble", "--system", system, "--plane", plane,
+             "--out-file", str(tmp_path / "h.json")]
+        )
+
+    def test_plane_with_swapped_point(self, tmp_path, capsys):
+        from treeramsey import build_projective_plane
+
+        obj = build_projective_plane(5).to_json()
+        a, b = obj["lines"][0], obj["lines"][7]
+        x = next(x for x in a if x not in b)
+        y = next(y for y in b if y not in a)
+        obj["lines"][0] = sorted(set(a) - {x} | {y})
+        obj["lines"][7] = sorted(set(b) - {y} | {x})
+        assert self.assemble(tmp_path, obj) == 2
+        assert "cover" in json.loads(capsys.readouterr().err)["error"]
+
+    def test_plane_lines_not_a_list(self, tmp_path, capsys):
+        from treeramsey import build_projective_plane
+
+        obj = build_projective_plane(5).to_json()
+        obj["lines"] = 5
+        assert self.assemble(tmp_path, obj) == 2
+        assert "lines" in json.loads(capsys.readouterr().err)["error"]
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("v", "x"), ("edges", [[1, 2, 9]]), ("edges", 5)],
+        ids=["string-v", "edge-out-of-range", "edges-not-a-list"],
+    )
+    def test_bad_system_file(self, tmp_path, capsys, field, value):
+        from treeramsey.steiner import SYSTEM_SCHEMA
+
+        obj = {"schema": SYSTEM_SCHEMA, "v": 3, "k": 3, "edges": [[1, 2, 3]]}
+        obj[field] = value
+        path = self.write(tmp_path / "bad.json", obj)
+        assert run(["steiner", "check", "--file", path, "--ell", "2"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]
+
+
 class TestReproducibility:
     def test_report_bytes_identical(self, c4_file, tmp_path):
         args = ["stepup", "verify", "--base", c4_file, "--k", "3", "--n", "4", "--I", "1,2"]

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeramsey import (
     BINARY,
@@ -28,8 +30,8 @@ from treeramsey import (
     validate_witness,
     verify_stepup_avoidance,
 )
-from treeramsey.families import FLAVOR_F, FLAVOR_G, FLAVOR_REVF
-from treeramsey.search import CLEAN, INDETERMINATE, WITNESS
+from treeramsey.families import FLAVOR_F, FLAVOR_G, FLAVOR_REVF, contains_fstar
+from treeramsey.search import CLEAN, INDETERMINATE, WITNESS, MembershipColoring
 
 from conftest import all_zero_coloring
 
@@ -234,7 +236,67 @@ class TestOrderedCopy:
             find_ordered_copy(OrderedHypergraph(3, ((1, 2, 3),)), OrderedHypergraph(3, ()))
 
 
+def contains_by_enumeration(host, spec):
+    """Memo-free containment: every chain, every connector set, scanned
+    directly against the host's edges."""
+    edges = host.edge_set
+    for increasing in itertools.combinations(range(1, host.v + 1), spec.n + 1):
+        chain = increasing if spec.flavor == FLAVOR_F else increasing[::-1]
+        lo, hi = sorted(chain[:2])
+        if tuple(sorted({chain[0]} | {chain[i] for i in spec.I})) not in edges:
+            continue
+        if all(
+            any(
+                tuple(sorted({v} | {chain[j] for j in J})) in edges
+                for v in range(lo, hi + 1)
+            )
+            for J in spec.connectors
+        ):
+            return True
+    return False
+
+
+@st.composite
+def small_hosts(draw):
+    v = draw(st.integers(min_value=4, max_value=12))
+    triples = list(itertools.combinations(range(1, v + 1), 3))
+    density = draw(st.sampled_from((0.1, 0.25, 0.5)))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    edges = tuple(e for e in triples if rng.random() < density)
+    return OrderedHypergraph(v, edges)
+
+
 class TestContainment:
+    def test_three_edge_host_holds_no_four_edge_member(self):
+        # The edge (2, 4, 5) and the non-edge (2, 4, 6) share a level
+        # profile, so a memo keyed on it finds a 4-edge member here.
+        host = OrderedHypergraph(6, ((1, 2, 4), (1, 5, 6), (2, 4, 5)))
+        spec = FamilySpec(3, 4, (1, 2), FLAVOR_F)
+        assert not contains_family_member(host, spec)
+        assert not contains_by_enumeration(host, spec)
+
+    def test_evaluator_without_memo_key_is_keyed_on_leaves(self):
+        host = OrderedHypergraph(6, ((1, 2, 4), (1, 5, 6), (2, 4, 5)))
+        membership = MembershipColoring(host)
+
+        class Undeclared:
+            uniformity, ground_size = membership.uniformity, membership.ground_size
+            _eval = staticmethod(membership._eval)
+
+        spec = FamilySpec(3, 4, (1, 2), FLAVOR_F)
+        assert find_mono_f_copy(Undeclared(), spec, {0}).status == CLEAN
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_hosts(), st.sampled_from((3, 4, 5)))
+    def test_matches_memo_free_enumeration(self, host, n):
+        answers = {}
+        for flavor in (FLAVOR_F, FLAVOR_REVF):
+            spec = FamilySpec(3, n, (1, 2), flavor)
+            answers[flavor] = host.v >= n + 1 and contains_by_enumeration(host, spec)
+            assert contains_family_member(host, spec) == answers[flavor]
+        spec = FamilySpec(3, n, (1, 2), FLAVOR_F)
+        assert contains_fstar(host, spec) == all(answers.values())
+
     def test_member_contains_itself(self):
         spec = FamilySpec(3, 3, (1, 2), FLAVOR_F)
         member = canonical_member(spec)

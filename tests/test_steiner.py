@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeramsey import (
     FamilySpec,
@@ -19,7 +21,63 @@ from treeramsey import (
     validate_projective_plane,
 )
 from treeramsey.families import FLAVOR_G
-from treeramsey.steiner import _shuffled
+from treeramsey.steiner import ProjectivePlane, _shuffled
+
+PRIMES_TO_31 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+def scan_plane(p):
+    """Reference construction: test every point against every line's
+    normal vector, O(N**2) dot products."""
+    reps = (
+        [(1, y, z) for y in range(p) for z in range(p)]
+        + [(0, 1, z) for z in range(p)]
+        + [(0, 0, 1)]
+    )
+    point_id = {rep: i + 1 for i, rep in enumerate(reps)}
+    lines = []
+    for a, b, c in reps:
+        lines.append(
+            tuple(
+                sorted(
+                    point_id[rep]
+                    for rep in reps
+                    if (a * rep[0] + b * rep[1] + c * rep[2]) % p == 0
+                )
+            )
+        )
+    return ProjectivePlane(p, tuple(sorted(lines)))
+
+
+def satisfies_axioms(plane):
+    """Brute-force oracle: the counts, every point pair on exactly one
+    line, and every two lines meeting in exactly one point."""
+    p, N = plane.order, plane.num_points
+    if len(plane.lines) != N:
+        return False
+    for line in plane.lines:
+        if len(line) != p + 1 or list(line) != sorted(set(line)):
+            return False
+        if line[0] < 1 or line[-1] > N:
+            return False
+    pair_lines = {}
+    for line in plane.lines:
+        for pair in itertools.combinations(line, 2):
+            pair_lines[pair] = pair_lines.get(pair, 0) + 1
+    if len(pair_lines) != math.comb(N, 2) or any(c != 1 for c in pair_lines.values()):
+        return False
+    return all(
+        len(set(l1) & set(l2)) == 1
+        for l1, l2 in itertools.combinations(plane.lines, 2)
+    )
+
+
+def with_lines(plane, replace):
+    """A copy of the plane with some lines replaced, by index."""
+    lines = list(plane.lines)
+    for idx, line in replace.items():
+        lines[idx] = tuple(line)
+    return ProjectivePlane(plane.order, tuple(lines))
 
 
 def toy_blowup():
@@ -111,6 +169,78 @@ class TestPlane:
     def test_non_primes_rejected(self, bad):
         with pytest.raises(ValueError, match="unsupported order|prime"):
             build_projective_plane(bad)
+
+    @pytest.mark.parametrize("p", PRIMES_TO_31)
+    def test_matches_scan_construction(self, p):
+        assert build_projective_plane(p) == scan_plane(p)
+
+    def test_oracle_accepts_built_planes(self):
+        for p in (2, 3, 5):
+            assert satisfies_axioms(build_projective_plane(p))
+
+
+class TestPlaneRejections:
+    """Negative controls: each broken plane of order 5 must be refused."""
+
+    plane = build_projective_plane(5)
+
+    def reject(self, plane, match):
+        assert not satisfies_axioms(plane)
+        with pytest.raises(ValueError, match=match):
+            validate_projective_plane(plane)
+
+    def test_swapped_point(self):
+        a, b = self.plane.lines[0], self.plane.lines[7]
+        x, y = next(x for x in a if x not in b), next(y for y in b if y not in a)
+        swapped = with_lines(self.plane, {
+            0: sorted(set(a) - {x} | {y}),
+            7: sorted(set(b) - {y} | {x}),
+        })
+        self.reject(swapped, "do not cover each point once")
+
+    def test_duplicated_line(self):
+        self.reject(with_lines(self.plane, {1: self.plane.lines[0]}), "do not cover")
+
+    def test_repeated_point(self):
+        line = self.plane.lines[3]
+        repeated = (line[0],) + line[:-1]
+        self.reject(with_lines(self.plane, {3: repeated}), "increasing points")
+
+    def test_unsorted_line(self):
+        line = self.plane.lines[3]
+        self.reject(with_lines(self.plane, {3: line[::-1]}), "increasing points")
+
+    def test_point_out_of_range(self):
+        line = self.plane.lines[-1]
+        self.reject(
+            with_lines(self.plane, {len(self.plane.lines) - 1: line[:-1] + (32,)}),
+            r"6 increasing points in \[1, 31\]",
+        )
+
+    def test_wrong_line_count(self):
+        short = ProjectivePlane(5, self.plane.lines[:-1])
+        self.reject(short, "30 lines, expected 31")
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from((2, 3, 5)),
+        st.integers(min_value=0),
+        st.integers(min_value=0),
+        st.integers(min_value=0),
+    )
+    def test_agrees_with_axiom_oracle_on_mutations(self, p, line_seed, pos_seed, value_seed):
+        plane = build_projective_plane(p)
+        N = plane.num_points
+        idx = line_seed % N
+        line = list(plane.lines[idx])
+        line[pos_seed % (p + 1)] = 1 + value_seed % (N + 1)  # may leave [1, N]
+        mutated = with_lines(plane, {idx: sorted(line)})
+        try:
+            validate_projective_plane(mutated)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == satisfies_axioms(mutated)
 
 
 class TestPartialSteiner:
