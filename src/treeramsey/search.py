@@ -10,6 +10,11 @@ question, memoized on (x_0, x_1, the evaluator's memo_key of (x_1,
 leaves)): the level profile for tree colorings, the exact leaves for
 edge-membership tests and for any evaluator that declares no key.
 
+There is one engine, and it enumerates increasing chains.  A reversed
+(revF) copy of a coloring is an F copy of the coloring with the leaf
+order reversed, so revF questions run the same engine on
+`ReflectedColoring` and reflect the witness back.
+
 Witness tie-breaking is lexicographic in (color, chain, connector
 assignment in colex-J order); reversed-flavor witnesses compare through
 the reflected coordinates.  Parallel runs partition the chains by their
@@ -24,7 +29,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .families import FLAVOR_F, FLAVOR_REVF, FamilySpec, OrderedHypergraph
+from .families import (
+    FLAVOR_F,
+    FLAVOR_REVF,
+    FamilySpec,
+    OrderedHypergraph,
+    connector_sets,
+)
 
 CLEAN = "clean"
 WITNESS = "witness"
@@ -169,15 +180,10 @@ def _search_chains_ascending(evaluator, spec_fields, color, x0_values, budget):
     M = evaluator.ground_size
     eval_edge = evaluator._eval
     key_of = getattr(evaluator, "memo_key", _exact_leaves)
+    all_connectors = connector_sets(n, k)
     connectors_by_max: dict[int, list[tuple[int, ...]]] = {}
-    import itertools
-
-    all_connectors = []
-    for last in range(k, n + 1):
-        for rest in itertools.combinations(range(2, last), k - 2):
-            J = rest + (last,)
-            all_connectors.append(J)
-            connectors_by_max.setdefault(last, []).append(J)
+    for J in all_connectors:
+        connectors_by_max.setdefault(max(J), []).append(J)
     special_at = I[-1]
 
     counters = SearchCounters()
@@ -262,124 +268,16 @@ def _search_chains_ascending(evaluator, spec_fields, color, x0_values, budget):
     return SearchOutcome(CLEAN, None, counters)
 
 
-def _search_chains_descending(evaluator, spec_fields, color, x0_values, budget):
-    """Independent reversed-order implementation: chains decrease, the
-    connector interval is [x_1, x_0], and per-J picks take the maximum
-    admissible leaf so witnesses match the reflected search exactly."""
-    k, n, I = spec_fields
-    M = evaluator.ground_size
-    eval_edge = evaluator._eval
-    key_of = getattr(evaluator, "memo_key", _exact_leaves)
-    import itertools
-
-    connectors_by_max: dict[int, list[tuple[int, ...]]] = {}
-    all_connectors = []
-    for last in range(k, n + 1):
-        for rest in itertools.combinations(range(2, last), k - 2):
-            J = rest + (last,)
-            all_connectors.append(J)
-            connectors_by_max.setdefault(last, []).append(J)
-    special_at = I[-1]
-
-    counters = SearchCounters()
-    memo: dict = {}
-    deadline = None
-    if budget is not None and budget.max_seconds is not None:
-        deadline = time.monotonic() + budget.max_seconds
-    max_nodes = budget.max_nodes if budget is not None else None
-
-    def tick():
-        counters.nodes += 1
-        if max_nodes is not None and counters.nodes > max_nodes:
-            raise BudgetExceeded
-        if deadline is not None and counters.nodes % 1024 == 0:
-            if time.monotonic() > deadline:
-                raise BudgetExceeded
-
-    def admissible_max(x0, x1, leaves):
-        # leaves holds (x_{j_1}, x_{j_2}, ...) in role order, values falling.
-        key = (x0, x1, key_of((x1,) + leaves))
-        if key in memo:
-            counters.memo_hits += 1
-            return memo[key]
-        counters.admissible_computed += 1
-        best = None
-        for v in range(x0, x1 - 1, -1):
-            counters.chi_evals += 1
-            edge = tuple(reversed(leaves)) + (v,)
-            if eval_edge(edge) == color:
-                best = v
-                break
-        memo[key] = best
-        return best
-
-    chain: list[int] = [0] * (n + 1)
-
-    def extend(depth):
-        if depth == n + 1:
-            assignment = tuple(
-                (J, admissible_max(chain[0], chain[1], tuple(chain[j] for j in J)))
-                for J in all_connectors
-            )
-            return MonoCopyWitness(FLAVOR_REVF, color, tuple(chain), assignment)
-        hi = chain[depth - 1] - 1 if depth > 0 else M
-        for x in range(hi, n - depth, -1):
-            tick()
-            chain[depth] = x
-            if depth == special_at:
-                counters.chi_evals += 1
-                special = tuple(sorted({chain[0]} | {chain[i] for i in I}))
-                if eval_edge(special) != color:
-                    counters.prunes += 1
-                    continue
-            if depth >= 2:
-                ok = True
-                for J in connectors_by_max.get(depth, ()):
-                    if (
-                        admissible_max(
-                            chain[0], chain[1], tuple(chain[j] for j in J)
-                        )
-                        is None
-                    ):
-                        ok = False
-                        break
-                if not ok:
-                    counters.prunes += 1
-                    continue
-            found = extend(depth + 1)
-            if found is not None:
-                return found
-        return None
-
-    try:
-        for x0 in x0_values:
-            if x0 < n + 1:
-                continue
-            tick()
-            chain[0] = x0
-            found = extend(1)
-            if found is not None:
-                return SearchOutcome(WITNESS, found, counters)
-    except BudgetExceeded:
-        return SearchOutcome(INDETERMINATE, None, counters)
-    return SearchOutcome(CLEAN, None, counters)
-
-
 def _worker(args):
-    evaluator, spec_fields, color, x0_values, budget, descending = args
-    search = _search_chains_descending if descending else _search_chains_ascending
-    return search(evaluator, spec_fields, color, x0_values, budget)
+    return _search_chains_ascending(*args)
 
 
-def _run_partitioned(evaluator, spec_fields, color, budget, workers, descending):
+def _run_partitioned(evaluator, spec_fields, color, budget, workers):
     M = evaluator.ground_size
     n = spec_fields[1]
-    if descending:
-        x0_all = list(range(M, n, -1))
-    else:
-        x0_all = list(range(1, M - n + 1))
+    x0_all = list(range(1, M - n + 1))
     if workers <= 1:
-        return _worker((evaluator, spec_fields, color, x0_all, budget, descending))
+        return _search_chains_ascending(evaluator, spec_fields, color, x0_all, budget)
 
     chunks = [x0_all[i::workers] for i in range(workers)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -387,7 +285,7 @@ def _run_partitioned(evaluator, spec_fields, color, budget, workers, descending)
             pool.map(
                 _worker,
                 [
-                    (evaluator, spec_fields, color, chunk, budget, descending)
+                    (evaluator, spec_fields, color, chunk, budget)
                     for chunk in chunks
                     if chunk
                 ],
@@ -421,16 +319,15 @@ def find_mono_f_copy(
     colors,
     budget: Optional[SearchBudget] = None,
     workers: int = 1,
-    rev_method: str = "reflect",
 ) -> SearchOutcome:
     """Exhaustive search for a monochromatic family copy in the coloring.
 
     Clean means no copy exists in any of the queried colors; a witness
     is the least one under (color, chain, connector assignment).  With
     a budget, a search that neither completes nor finds a copy reports
-    indeterminate.  Reversed flavors run either on the reflected
-    coloring (rev_method="reflect") or via a dedicated descending
-    enumeration (rev_method="direct"); the two agree witness-for-witness.
+    indeterminate.  A revF copy of chi is an F copy of the reflected
+    coloring, so reversed flavors run the same engine on
+    `ReflectedColoring(chi)` and reflect the witness back.
     """
     if spec.k != chi.uniformity:
         raise ValueError(
@@ -444,40 +341,37 @@ def find_mono_f_copy(
     if spec.flavor not in (FLAVOR_F, FLAVOR_REVF):
         raise ValueError(f"mono-copy search needs flavor F or revF, got {spec.flavor}")
     spec_fields = (spec.k, spec.n, spec.I)
+    reversed_flavor = spec.flavor == FLAVOR_REVF
+    evaluator = ReflectedColoring(chi) if reversed_flavor else chi
 
     counters = SearchCounters()
     for color in sorted(set(colors)):
-        if spec.flavor == FLAVOR_F:
-            outcome = _run_partitioned(
-                chi, spec_fields, color, budget, workers, descending=False
-            )
-        elif rev_method == "reflect":
-            outcome = _run_partitioned(
-                ReflectedColoring(chi), spec_fields, color, budget, workers,
-                descending=False,
-            )
-            if outcome.witness is not None:
-                outcome = SearchOutcome(
-                    outcome.status,
-                    _reflect_witness(outcome.witness, chi.ground_size),
-                    outcome.counters,
-                )
-        elif rev_method == "direct":
-            outcome = _run_partitioned(
-                chi, spec_fields, color, budget, workers, descending=True
-            )
-        else:
-            raise ValueError(f"unknown rev_method {rev_method!r}")
+        outcome = _run_partitioned(evaluator, spec_fields, color, budget, workers)
         counters = counters.merged(outcome.counters)
         if outcome.status != CLEAN:
-            return SearchOutcome(outcome.status, outcome.witness, counters)
+            witness = outcome.witness
+            if reversed_flavor and witness is not None:
+                witness = _reflect_witness(witness, chi.ground_size)
+            return SearchOutcome(outcome.status, witness, counters)
     return SearchOutcome(CLEAN, None, counters)
 
 
 def validate_witness(chi, spec: FamilySpec, witness: MonoCopyWitness) -> bool:
-    """Re-evaluate every edge of a witness through the public coloring API."""
+    """Re-check a witness from scratch against the coloring it claims.
+
+    The flavor must be the spec's; the chain must hold n+1 leaves of
+    [1, ground_size] in role order (rising for F, falling for revF); the
+    connector sets must be the spec's, each with a leaf between x_0 and
+    x_1; and every edge, rebuilt from the witness, must have the witness
+    color.  Edges are evaluated with `_eval`, the query every searchable
+    coloring answers (tree colorings, their reflections, membership
+    tests and proxies of them); the checks before it make each edge a
+    sorted set of distinct leaves in range, as `_eval` requires.
+    """
     chain = witness.distinguished
     pairs = zip(chain, chain[1:])
+    if witness.flavor != spec.flavor or len(chain) != spec.n + 1:
+        return False
     if witness.flavor == FLAVOR_F:
         if any(a >= b for a, b in pairs):
             return False
@@ -486,12 +380,15 @@ def validate_witness(chi, spec: FamilySpec, witness: MonoCopyWitness) -> bool:
         if any(a <= b for a, b in pairs):
             return False
         lo, hi = chain[1], chain[0]
+    if min(chain) < 1 or max(chain) > chi.ground_size:
+        return False
     if {J for J, _ in witness.assignment} != set(map(tuple, spec.connectors)):
         return False
     if any(not lo <= v <= hi for _, v in witness.assignment):
         return False
     return all(
-        chi.color_of(edge) == witness.color for edge in witness.edges(spec.I)
+        len(edge) == chi.uniformity and chi._eval(edge) == witness.color
+        for edge in witness.edges(spec.I)
     )
 
 
@@ -559,36 +456,31 @@ def verify_stepup_avoidance(
 ) -> AvoidanceReport:
     """The four acceptance slots: F in colors 0,1 and revF in colors 2,3.
 
-    Reversed slots run both the reflected and the direct descending
-    search and must agree exactly; disagreement raises, since it means
-    one of the two engines is wrong.
+    Each slot is one search; revF slots run on the reflected coloring
+    (see `find_mono_f_copy`).  Every witness is re-checked with
+    `validate_witness` before it is reported, and a witness that fails
+    the check raises, since it means the engine is wrong.
     """
     start = time.monotonic()
-    base = spec.with_flavor(FLAVOR_F)
     slots = []
-    for color in (0, 1):
-        outcome = find_mono_f_copy(chi, base, {color}, budget, workers)
-        slots.append(SlotResult(FLAVOR_F, color, outcome.status, outcome.witness, outcome.counters))
-    rev = spec.with_flavor(FLAVOR_REVF)
-    for color in (2, 3):
-        reflected = find_mono_f_copy(chi, rev, {color}, budget, workers, "reflect")
-        direct = find_mono_f_copy(chi, rev, {color}, budget, workers, "direct")
-        if (reflected.status, reflected.witness) != (direct.status, direct.witness):
-            raise AssertionError(
-                f"reflected and direct reversed searches disagree in color {color}: "
-                f"{reflected.status}/{reflected.witness} vs {direct.status}/{direct.witness}"
+    for flavor, colors in ((FLAVOR_F, (0, 1)), (FLAVOR_REVF, (2, 3))):
+        slot_spec = spec.with_flavor(flavor)
+        for color in colors:
+            outcome = find_mono_f_copy(chi, slot_spec, {color}, budget, workers)
+            if outcome.witness is not None and not validate_witness(
+                chi, slot_spec, outcome.witness
+            ):
+                raise AssertionError(
+                    f"slot ({flavor}, {color}) witness fails its re-check: "
+                    f"{outcome.witness}"
+                )
+            slots.append(
+                SlotResult(flavor, color, outcome.status, outcome.witness, outcome.counters)
             )
-        slots.append(
-            SlotResult(
-                FLAVOR_REVF,
-                color,
-                reflected.status,
-                reflected.witness,
-                reflected.counters.merged(direct.counters),
-            )
-        )
     elapsed_ms = (time.monotonic() - start) * 1000.0
-    return AvoidanceReport(base, chi.ground_size, tuple(slots), elapsed_ms)
+    return AvoidanceReport(
+        spec.with_flavor(FLAVOR_F), chi.ground_size, tuple(slots), elapsed_ms
+    )
 
 
 def find_ordered_copy(

@@ -479,8 +479,9 @@ def sample_ordering_and_search(
 
 
 def read_system(path) -> dict:
-    """Load a system file: a positive integer v, an integer k and edges,
-    a list of k-lists of distinct integers in [1, v]."""
+    """Load a system file: a positive integer v, an integer k, edges, a
+    list of k-lists of distinct integers in [1, v], and optional params,
+    an object with integers n, k, m and a list of integers I."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     check_schema(obj, SYSTEM_SCHEMA, {"v", "k", "edges", "provenance", "params"})
@@ -499,4 +500,15 @@ def read_system(path) -> dict:
             and len(set(e)) == k
         ):
             raise ValueError(f"edge {e!r} is not {k} distinct vertices in [1, {v}]")
+    params = obj.get("params")
+    if params is not None and not (
+        isinstance(params, dict)
+        and all(type(params.get(f)) is int for f in ("n", "k", "m"))
+        and isinstance(params.get("I"), list)
+        and all(type(i) is int for i in params["I"])
+    ):
+        raise ValueError(
+            f"system params must hold integers n, k, m and a list of integers I, "
+            f"got {params!r}"
+        )
     return obj

@@ -5,6 +5,7 @@ answers ancestor queries by walking paths, sharing no arithmetic with
 the bitwise implementation under test.
 """
 
+import itertools
 import random
 
 import pytest
@@ -67,6 +68,21 @@ def pentagon_coloring():
     return BaseColoring.from_function(
         2, 5, BINARY, lambda s: 0 if (max(s) - min(s)) in (1, 4) else 1
     )
+
+
+def pentagon_labellings():
+    """The 12 labelled 5-cycles on [5]: cycle pairs color 0, the rest 1."""
+    cycles = set()
+    for perm in itertools.permutations(range(1, 6)):
+        cycles.add(
+            frozenset(tuple(sorted((perm[i], perm[(i + 1) % 5]))) for i in range(5))
+        )
+    return [
+        BaseColoring.from_function(
+            2, 5, BINARY, lambda s, c=cycle: 0 if tuple(sorted(s)) in c else 1
+        )
+        for cycle in sorted(cycles, key=sorted)
+    ]
 
 
 def all_zero_coloring(n):

@@ -288,6 +288,23 @@ class TestMalformedSteinerFiles:
         assert json.loads(capsys.readouterr().err)["error"]
 
 
+    @pytest.mark.parametrize(
+        "params",
+        [{"n": "x", "k": 3, "I": [1, 2], "m": 1}, 5, {"n": 3, "k": 3, "I": "12", "m": 1}],
+        ids=["string-n", "params-not-an-object", "string-I"],
+    )
+    def test_bad_params_in_mc_run(self, tmp_path, capsys, params):
+        from treeramsey.steiner import SYSTEM_SCHEMA
+
+        obj = {"schema": SYSTEM_SCHEMA, "v": 3, "k": 3, "edges": [[1, 2, 3]],
+               "params": params}
+        path = self.write(tmp_path / "bad.json", obj)
+        code = run(["mc", "run", "--system", path, "--k", "3", "--n", "3",
+                    "--I", "1,2", "--trials", "1", "--out", str(tmp_path / "mc")])
+        assert code == 2
+        assert "params" in json.loads(capsys.readouterr().err)["error"]
+
+
 class TestReproducibility:
     def test_report_bytes_identical(self, c4_file, tmp_path):
         args = ["stepup", "verify", "--base", c4_file, "--k", "3", "--n", "4", "--I", "1,2"]

@@ -31,9 +31,16 @@ from treeramsey import (
     verify_stepup_avoidance,
 )
 from treeramsey.families import FLAVOR_F, FLAVOR_G, FLAVOR_REVF, contains_fstar
-from treeramsey.search import CLEAN, INDETERMINATE, WITNESS, MembershipColoring
+from treeramsey.search import (
+    CLEAN,
+    INDETERMINATE,
+    WITNESS,
+    MembershipColoring,
+    ReflectedColoring,
+)
 
-from conftest import all_zero_coloring
+from conftest import all_zero_coloring, c4_coloring, pentagon_labellings
+from descending_oracle import find_rev_copy_descending
 
 
 def joint_oracle(chi, spec, colors):
@@ -82,6 +89,34 @@ def recheck_edge_color(base, edge, depth):
     return 3 - base.color_of(proj)
 
 
+def _random_8_leaf_grid():
+    rng = random.Random(7)
+    spec = FamilySpec(3, 3, (1, 2), FLAVOR_REVF)
+    for _ in range(6):
+        table = tuple(rng.randrange(2) for _ in range(3))
+        yield SteppedColoring(BaseColoring(2, 3, BINARY, table)), spec
+
+
+# Grids on which the reflected revF search must match the descending
+# oracle: name -> generator of (coloring, revF spec).
+REV_GRIDS = {
+    "c4-16": lambda: [
+        (build_tower(c4_coloring(), 3).top, FamilySpec(3, 4, (1, 2), FLAVOR_REVF))
+    ],
+    "pentagons-32": lambda: [
+        (build_tower(base, 3).top, FamilySpec(3, 5, (1, 2), FLAVOR_REVF))
+        for base in pentagon_labellings()
+    ],
+    "k4-010-256": lambda: [
+        (
+            build_tower(BaseColoring(2, 3, BINARY, (0, 1, 0)), 4).top,
+            FamilySpec(4, 4, (1, 2, 3), FLAVOR_REVF),
+        )
+    ],
+    "random-8": _random_8_leaf_grid,
+}
+
+
 class TestMonoCopySearch:
     def test_c4_base_clean(self, c4_base):
         chi = build_tower(c4_base, 3).top
@@ -123,14 +158,10 @@ class TestMonoCopySearch:
                 assert (outcome.status, outcome.witness) == (status, witness)
 
     def test_reflect_and_direct_agree(self):
-        rng = random.Random(7)
-        spec = FamilySpec(3, 3, (1, 2), FLAVOR_REVF)
-        for _ in range(6):
-            table = tuple(rng.randrange(2) for _ in range(3))
-            chi = SteppedColoring(BaseColoring(2, 3, BINARY, table))
+        for chi, spec in REV_GRIDS["random-8"]():
             for color in (2, 3):
-                a = find_mono_f_copy(chi, spec, {color}, rev_method="reflect")
-                b = find_mono_f_copy(chi, spec, {color}, rev_method="direct")
+                a = find_mono_f_copy(chi, spec, {color})
+                b = find_rev_copy_descending(chi, spec, {color})
                 assert (a.status, a.witness) == (b.status, b.witness)
 
     def test_rev_witness_validates(self):
@@ -160,10 +191,10 @@ class TestMonoCopySearch:
         chi_clean = build_tower(c4_base, 3).top
         assert find_mono_f_copy(chi_clean, spec, {0}, workers=3).status == CLEAN
         rev = spec.with_flavor(FLAVOR_REVF)
-        for method in ("reflect", "direct"):
-            one = find_mono_f_copy(chi0, rev, {3}, workers=1, rev_method=method)
-            two = find_mono_f_copy(chi0, rev, {3}, workers=2, rev_method=method)
-            assert one.witness == two.witness
+        one = find_mono_f_copy(chi0, rev, {3}, workers=1)
+        two = find_mono_f_copy(chi0, rev, {3}, workers=2)
+        assert one.witness == two.witness
+        assert one.witness == find_rev_copy_descending(chi0, rev, {3}).witness
         # a coloring whose profile table is already filled is pickled to
         # the workers with it and must answer the same
         warmed = build_tower(all_zero_coloring(4), 3).top
@@ -174,7 +205,57 @@ class TestMonoCopySearch:
             assert outcome.witness == seq.witness
 
 
+class TestReflectedMatchesDescendingOracle:
+    """revF answers through the reflected coloring against the direct
+    descending engine, which survives only as this test's oracle."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("grid", sorted(REV_GRIDS))
+    def test_same_status_and_witness(self, grid, workers):
+        statuses = set()
+        for chi, spec in REV_GRIDS[grid]():
+            for color in (2, 3):
+                got = find_mono_f_copy(chi, spec, {color}, workers=workers)
+                want = find_rev_copy_descending(chi, spec, {color})
+                assert (got.status, got.witness) == (want.status, want.witness)
+                if workers == 1:
+                    # mirror-image enumerations do the same work
+                    assert got.counters == want.counters
+                statuses.add(got.status)
+        assert statuses <= {CLEAN, WITNESS}
+        if grid == "k4-010-256":
+            assert statuses == {WITNESS}
+
+
 class TestAvoidanceReport:
+    def test_slot_counters_are_their_own_search(self):
+        chi = build_tower(BaseColoring(2, 3, BINARY, (0, 1, 0)), 4).top
+        spec = FamilySpec(4, 4, (1, 2, 3), FLAVOR_F)
+        report = verify_stepup_avoidance(chi, spec)
+        for slot in report.slots:
+            own = find_mono_f_copy(chi, spec.with_flavor(slot.flavor), {slot.color})
+            assert slot.counters == own.counters
+        assert report.to_json()["counters"]["nodes"] == 369_545
+
+    def test_witness_failing_recheck_raises(self, monkeypatch):
+        import treeramsey.search as search_module
+
+        chi = build_tower(all_zero_coloring(4), 3).top
+        spec = FamilySpec(3, 4, (1, 2), FLAVOR_F)
+        real = search_module.find_mono_f_copy
+
+        def wrong_color(chi, spec, colors, budget=None, workers=1):
+            outcome = real(chi, spec, colors, budget, workers)
+            w = outcome.witness
+            if w is None:
+                return outcome
+            bad = MonoCopyWitness(w.flavor, (w.color + 1) % 4, w.distinguished, w.assignment)
+            return search_module.SearchOutcome(outcome.status, bad, outcome.counters)
+
+        monkeypatch.setattr(search_module, "find_mono_f_copy", wrong_color)
+        with pytest.raises(AssertionError, match="re-check"):
+            verify_stepup_avoidance(chi, spec)
+
     def test_c4_all_slots_clean(self, c4_base):
         chi = build_tower(c4_base, 3).top
         report = verify_stepup_avoidance(chi, FamilySpec(3, 4, (1, 2), FLAVOR_F))
@@ -325,3 +406,24 @@ class TestWitnessValidation:
             tuple((J, w.distinguished[-1]) for J, _ in w.assignment),
         )
         assert not validate_witness(chi, spec, out_of_interval)
+        assert not validate_witness(chi, spec.with_flavor(FLAVOR_REVF), w)
+        shifted = MonoCopyWitness(
+            w.flavor, w.color, tuple(x + chi.ground_size for x in w.distinguished),
+            tuple((J, v + chi.ground_size) for J, v in w.assignment),
+        )
+        assert not validate_witness(chi, spec, shifted)
+
+    def test_accepts_search_evaluators(self):
+        # The re-check runs on any coloring the engine searches, not
+        # only on tree colorings.
+        chi = build_tower(all_zero_coloring(4), 3).top
+        spec = FamilySpec(3, 4, (1, 2), FLAVOR_F)
+        w = find_mono_f_copy(ReflectedColoring(chi), spec, {3}).witness
+        assert validate_witness(ReflectedColoring(chi), spec, w)
+        assert not validate_witness(chi, spec, w)
+        host = OrderedHypergraph(6, tuple(itertools.combinations(range(1, 7), 3)))
+        small = FamilySpec(3, 3, (1, 2), FLAVOR_F)
+        w = find_mono_f_copy(MembershipColoring(host), small, {0}).witness
+        assert validate_witness(MembershipColoring(host), small, w)
+        sparse = OrderedHypergraph(6, w.edges(small.I)[1:])
+        assert not validate_witness(MembershipColoring(sparse), small, w)
