@@ -139,12 +139,19 @@ def _load_tower_descriptor(path):
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     check_schema(obj, reporting.TOWER_SCHEMA, {"base", "target_k", "cap"})
-    base = obj["base"]
-    if isinstance(base, str) and base.lstrip().startswith("coloring "):
+    base, target_k = obj.get("base"), obj.get("target_k")
+    cap = obj.get("cap", DEFAULT_TOWER_CAP)
+    if not isinstance(base, str):
+        raise ValueError(f"tower base must be a path or coloring text, got {base!r}")
+    if type(target_k) is not int:
+        raise ValueError(f"tower target_k must be an integer, got {target_k!r}")
+    if type(cap) is not int or cap < 1:
+        raise ValueError(f"tower cap must be a positive integer, got {cap!r}")
+    if base.lstrip().startswith("coloring "):
         coloring = import_coloring(base)
     else:
         coloring = read_coloring(base)
-    return coloring, obj["target_k"], obj.get("cap", DEFAULT_TOWER_CAP)
+    return coloring, target_k, cap
 
 
 def _cmd_stepup_verify(args) -> int:
@@ -160,7 +167,7 @@ def _cmd_stepup_verify(args) -> int:
     budget = None
     if args.max_nodes is not None or args.max_seconds is not None:
         budget = search.SearchBudget(args.max_nodes, args.max_seconds)
-    report_obj = search.verify_stepup_avoidance(chi, spec, budget, args.workers)
+    report_obj = search.verify_stepup_avoidance(chi, spec, budget)
     report = report_obj.to_json(include_timing=False)
     witnesses = {
         f"slot_{slot.flavor}_{slot.color}": slot.witness.to_json()
@@ -176,7 +183,6 @@ def _cmd_stepup_verify(args) -> int:
             "n": args.n,
             "I": list(args.I),
             "cap": cap,
-            "workers": args.workers,
         },
         report,
         witnesses=witnesses or None,
@@ -411,7 +417,6 @@ def build_parser() -> _Parser:
         cap=dict(type=int, default=DEFAULT_TOWER_CAP),
         max_nodes=dict(type=int, default=None),
         max_seconds=dict(type=float, default=None),
-        workers=dict(type=int, default=1),
     )
 
     family = parser_sub(sub, "family")

@@ -151,9 +151,11 @@ class SteppedColoring:
             raise ValueError(f"leaves out of range [1, {self.ground_size}]")
         return self._eval(elems)
 
-    # The admissible-set memo of the search may key on the level profile
-    # of (x_1, leaves): it determines the color of every edge (v, leaves)
-    # with v <= x_1 once v and x_1 are known.
+    # Declaring level_profile as the memo key promises that the color is
+    # a function of the edge's level profile.  The search relies on it to
+    # decide questions over level words without enumerating leaves
+    # (search._search_levels); the leaf engine keys its admissible-set
+    # memo on the profile of (x_1, leaves).
     memo_key = staticmethod(level_profile)
 
     def _eval(self, elems: tuple[int, ...]) -> int:

@@ -4,31 +4,45 @@ The searched object is determined by a distinguished chain of leaves
 x_0 < x_1 < ... < x_n plus, for every connector set J, at least one
 leaf in [x_0, x_1] whose edge through J has the target color.  Once the
 chain and the color are fixed the connector choices are independent
-(distinct J never constrain each other), so the search enumerates
-chains with incremental pruning and reduces each J to a nonemptiness
-question, memoized on (x_0, x_1, the evaluator's memo_key of (x_1,
-leaves)): the level profile for tree colorings, the exact leaves for
-edge-membership tests and for any evaluator that declares no key.
+(distinct J never constrain each other), so a search enumerates chains
+with incremental pruning and reduces each J to a nonemptiness question.
 
-There is one engine, and it enumerates increasing chains.  A reversed
-(revF) copy of a coloring is an F copy of the coloring with the leaf
-order reversed, so revF questions run the same engine on
+There are two engines, and the evaluator's `memo_key` picks one:
+
+* Level space, for evaluators whose key is `level_profile` (stepped
+  colorings and their reflections).  The color of such an evaluator is
+  a function of the edge's level profile, and every profile the search
+  asks about is a function of the chain's level word l_1 ... l_n,
+  l_i = bl((x_{i-1}-1) ^ (x_i-1)) with bl the bit length: the level of
+  chain leaves x_i < x_j is max(l_{i+1..j}).  A word is realizable
+  exactly when every two equal letters have a larger letter between
+  them.  A connector v in [x_0, x_1] enters only through its offset
+  t = bl((v-1) ^ (x_1-1)), which is 0 (v = x_1), l_1 (v = x_0), or any
+  b < l_1 whose bit b-1 is set in x_1-1; that bit is forced to 0 exactly
+  when b is a strict left-to-right record of l_2 ... l_n.  The engine
+  searches words, never leaves (see `_search_levels`).
+* Leaf space, for every other evaluator (edge-membership tests and any
+  evaluator that declares no key).  It enumerates increasing chains of
+  leaves, memoizing each J's answer on (x_0, x_1, the memo key of
+  (x_1, leaves)), the exact leaves for these evaluators (see
+  `_search_chains_ascending`).
+
+A reversed (revF) copy of a coloring is an F copy of the coloring with
+the leaf order reversed, so revF questions run the same engines on
 `ReflectedColoring` and reflect the witness back.
 
 Witness tie-breaking is lexicographic in (color, chain, connector
 assignment in colex-J order); reversed-flavor witnesses compare through
-the reflected coordinates.  Parallel runs partition the chains by their
-first element, enumerate each part fully and reduce by the same key, so
-the reported witness does not depend on the worker count.
+the reflected coordinates.  Both engines return the same least witness.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .colorings import level_profile
 from .families import (
     FLAVOR_F,
     FLAVOR_REVF,
@@ -46,6 +60,19 @@ AVOIDANCE_SCHEMA = "treeramsey/avoidance-report/1"
 
 @dataclass
 class SearchCounters:
+    """Work done by one search.
+
+    Leaf space: `nodes` counts chain leaves tried, `prunes` leaves
+    rejected by a color check, `chi_evals` edge colors evaluated,
+    `admissible_computed` connector answers computed and `memo_hits`
+    connector answers read from the memo.  Level space: `nodes` counts
+    realizable letters tried over all oracle calls of the search,
+    `prunes` letters rejected by a color check, `chi_evals` level
+    profiles colored through the evaluator, `memo_hits` profile colors
+    read from the search's profile cache, and `admissible_computed` the
+    sets of admissible connector offsets computed.
+    """
+
     nodes: int = 0
     prunes: int = 0
     chi_evals: int = 0
@@ -96,15 +123,6 @@ class MonoCopyWitness:
     distinguished: tuple[int, ...]
     assignment: tuple[tuple[tuple[int, ...], int], ...]
 
-    def sort_key(self, ground_size: int):
-        if self.flavor == FLAVOR_F:
-            chain = self.distinguished
-            values = tuple(v for _, v in self.assignment)
-        else:
-            chain = tuple(ground_size + 1 - x for x in self.distinguished)
-            values = tuple(ground_size + 1 - v for _, v in self.assignment)
-        return (self.color, chain, values)
-
     def edges(self, I: Sequence[int]) -> list[tuple[int, ...]]:
         chain = self.distinguished
         out = [tuple(sorted({chain[0]} | {chain[i] for i in I}))]
@@ -141,6 +159,8 @@ class ReflectedColoring:
         self.inner = inner
         # Both memo keys in use survive reflection: it keeps the XOR of
         # (a-1, b-1), hence the level profile, and is a bijection on leaves.
+        # The reflected color is the inner color of the reversed profile,
+        # so it too is a function of the level profile.
         self.memo_key = getattr(inner, "memo_key", _exact_leaves)
         self.uniformity = inner.uniformity
         self.ground_size = inner.ground_size
@@ -169,25 +189,8 @@ class MembershipColoring:
         return 0 if elems in self.edge_set else 1
 
 
-def _search_chains_ascending(evaluator, spec_fields, color, x0_values, budget):
-    """Depth-first enumeration of increasing chains with per-J pruning.
-
-    Returns (status, witness) and mutates the counters it creates; the
-    first complete chain found is the lexicographically least one
-    because candidates are scanned in increasing order at every depth.
-    """
-    k, n, I = spec_fields
-    M = evaluator.ground_size
-    eval_edge = evaluator._eval
-    key_of = getattr(evaluator, "memo_key", _exact_leaves)
-    all_connectors = connector_sets(n, k)
-    connectors_by_max: dict[int, list[tuple[int, ...]]] = {}
-    for J in all_connectors:
-        connectors_by_max.setdefault(max(J), []).append(J)
-    special_at = I[-1]
-
-    counters = SearchCounters()
-    memo: dict = {}
+def _ticker(counters: SearchCounters, budget: Optional[SearchBudget]):
+    """A node counter that raises BudgetExceeded past the budget."""
     deadline = None
     if budget is not None and budget.max_seconds is not None:
         deadline = time.monotonic() + budget.max_seconds
@@ -200,6 +203,35 @@ def _search_chains_ascending(evaluator, spec_fields, color, x0_values, budget):
         if deadline is not None and counters.nodes % 1024 == 0:
             if time.monotonic() > deadline:
                 raise BudgetExceeded
+
+    return tick
+
+
+def _connectors_by_max(n: int, k: int) -> dict[int, list[tuple[int, ...]]]:
+    by_max: dict[int, list[tuple[int, ...]]] = {}
+    for J in connector_sets(n, k):
+        by_max.setdefault(max(J), []).append(J)
+    return by_max
+
+
+def _search_chains_ascending(evaluator, spec_fields, color, budget):
+    """Depth-first enumeration of increasing chains with per-J pruning.
+
+    Returns a SearchOutcome with the counters it creates; the first
+    complete chain found is the lexicographically least one because
+    candidates are scanned in increasing order at every depth.
+    """
+    k, n, I = spec_fields
+    M = evaluator.ground_size
+    eval_edge = evaluator._eval
+    key_of = getattr(evaluator, "memo_key", _exact_leaves)
+    all_connectors = connector_sets(n, k)
+    connectors_by_max = _connectors_by_max(n, k)
+    special_at = I[-1]
+
+    counters = SearchCounters()
+    tick = _ticker(counters, budget)
+    memo: dict = {}
 
     def admissible_min(x0, x1, leaves):
         key = (x0, x1, key_of((x1,) + leaves))
@@ -255,9 +287,7 @@ def _search_chains_ascending(evaluator, spec_fields, color, x0_values, budget):
         return None
 
     try:
-        for x0 in x0_values:
-            if x0 > M - n:
-                continue
+        for x0 in range(1, M - n + 1):
             tick()
             chain[0] = x0
             found = extend(1)
@@ -268,39 +298,156 @@ def _search_chains_ascending(evaluator, spec_fields, color, x0_values, budget):
     return SearchOutcome(CLEAN, None, counters)
 
 
-def _worker(args):
-    return _search_chains_ascending(*args)
+def _realize_profile(profile: tuple[int, ...]) -> tuple[int, ...]:
+    """Canonical leaves with the given level profile.
+
+    Starts at leaf 1 and, for each entry p, sets bit p-1 of x-1 and
+    clears the bits below it; the profile must be realizable.
+    """
+    u, leaves = 0, [1]
+    for p in profile:
+        u = (u >> p << p) | 1 << (p - 1)
+        leaves.append(u + 1)
+    return tuple(leaves)
 
 
-def _run_partitioned(evaluator, spec_fields, color, budget, workers):
-    M = evaluator.ground_size
-    n = spec_fields[1]
-    x0_all = list(range(1, M - n + 1))
-    if workers <= 1:
-        return _search_chains_ascending(evaluator, spec_fields, color, x0_all, budget)
+def _search_levels(evaluator, spec_fields, color, budget):
+    """Exact search over level words for a profile-keyed evaluator.
 
-    chunks = [x0_all[i::workers] for i in range(workers)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = list(
-            pool.map(
-                _worker,
-                [
-                    (evaluator, spec_fields, color, chunk, budget)
-                    for chunk in chunks
-                    if chunk
-                ],
-            )
-        )
+    A chain is described by x_0, the bits of x_1 - 1 below l_1, and
+    its word (module docstring).  The least witness, if any, starts at
+    x_0 = 1: the all-zero x_0 - 1 permits every word, and the connector
+    offsets depend on x_1 alone.  An oracle `complete` decides by
+    depth-first search over l_2 ... l_n whether a copy exists once l_1
+    is chosen and some bits of x_1 - 1 are fixed to 0; a free bit is 1
+    unless its letter is a record, the most permissive choice.  The least feasible
+    l_1 comes first, then x_1's low bits from high to low, each kept 0
+    while the oracle still finds a copy.  For d >= 2 the least x_d with
+    letter b is x_{d-1} with its bits below b cleared and bit b-1 set,
+    which is also the most permissive choice, so the oracle's first word
+    in increasing letter order gives the least chain.  Each connector
+    takes its largest admissible offset t, hence its least leaf
+    v = ((x_1 - 1) >> t << t) + 1.  Edge colors come from the
+    evaluator's `_eval` on `_realize_profile` leaves, cached per profile
+    for the search.
+    """
+    k, n, I = spec_fields
+    N = evaluator.ground_size.bit_length() - 1
+    eval_edge = evaluator._eval
+    connectors_by_max = _connectors_by_max(n, k)
+    cuts = (0,) + I
+    special_at = I[-1]
+
     counters = SearchCounters()
-    for r in results:
-        counters = counters.merged(r.counters)
-    if any(r.status == INDETERMINATE for r in results):
+    tick = _ticker(counters, budget)
+    colors: dict[tuple[int, ...], int] = {}
+    word = [0] * (n + 1)  # word[d] is l_d; word[0] is unused
+
+    def edge_color(profile):
+        c = colors.get(profile)
+        if c is None:
+            counters.chi_evals += 1
+            c = colors[profile] = eval_edge(_realize_profile(profile))
+        else:
+            counters.memo_hits += 1
+        return c
+
+    def admissible(J, opts):
+        """Bit mask of the offsets t in `opts` whose J-edge has the color.
+
+        The edge's profile is (max(t, head), rest...), so every t <= head
+        shares one profile.
+        """
+        counters.admissible_computed += 1
+        head = max(word[2 : J[0] + 1])
+        rest = tuple(max(word[a + 1 : b + 1]) for a, b in zip(J, J[1:]))
+        mask = 0
+        if edge_color((head,) + rest) == color:
+            mask = opts & ((2 << head) - 1)
+        for t in range(head + 1, opts.bit_length()):
+            if opts >> t & 1 and edge_color((t,) + rest) == color:
+                mask |= 1 << t
+        return mask
+
+    def admit(d, opts, masks):
+        """The admissible masks of the connector sets J with max(J) <= d,
+        or None once one of them has no offset left in `opts`."""
+        if not all(m & opts for m in masks):
+            return None
+        for J in connectors_by_max.get(d, ()):
+            m = admissible(J, opts)
+            if not m:
+                return None
+            masks += (m,)
+        return masks
+
+    def extend(d, y, top, opts, masks):
+        """Try l_d with x_{d-1} - 1 = y; records of l_2 .. l_{d-1} reach
+        `top` and `opts` holds the connector offsets still possible."""
+        for c in range(1, N + 1):
+            if y >> (c - 1) & 1:
+                continue  # unrealizable: x_d would not exceed x_{d-1}
+            tick()
+            word[d] = c
+            new_opts = opts & ~(1 << c) if c > top else opts
+            if d == special_at and edge_color(
+                tuple(max(word[a + 1 : b + 1]) for a, b in zip(cuts, cuts[1:]))
+            ) != color:
+                counters.prunes += 1
+                continue
+            new_masks = admit(d, new_opts, masks)
+            if new_masks is None:
+                counters.prunes += 1
+                continue
+            if d == n or extend(
+                d + 1, y >> c << c | 1 << (c - 1), max(top, c), new_opts, new_masks
+            ):
+                return True
+        return False
+
+    def complete(first_letters, zeros):
+        """Whether a copy exists with l_1 among `first_letters` and bit
+        b-1 of x_1 - 1 fixed to 0 for every b in the mask `zeros`; leaves
+        the least word found in `word`.  The other bits stay free: a bit
+        forced to 1 only forbids a record that would close its offset,
+        and no copy has such a record once keeping the bit 0 has failed."""
+        for l1 in first_letters:
+            tick()
+            word[1] = l1
+            opts = 1 | 1 << l1 | ((1 << l1) - 2) & ~zeros
+            if extend(2, 1 << (l1 - 1), 0, opts, ()):
+                return True
+        return False
+
+    try:
+        if not complete(range(1, N + 1), 0):
+            return SearchOutcome(CLEAN, None, counters)
+        l1, zeros, ones = word[1], 0, 0
+        best = word[2:]
+        for b in range(l1 - 1, 0, -1):
+            if complete((l1,), zeros | 1 << b):
+                zeros |= 1 << b
+                best = word[2:]
+            else:
+                # No copy keeps the bit 0, so the last word found needs
+                # it set and is still the least one.
+                ones |= 1 << b
+    except BudgetExceeded:
         return SearchOutcome(INDETERMINATE, None, counters)
-    witnesses = [r.witness for r in results if r.witness is not None]
-    if witnesses:
-        best = min(witnesses, key=lambda w: w.sort_key(M))
-        return SearchOutcome(WITNESS, best, counters)
-    return SearchOutcome(CLEAN, None, counters)
+
+    word[2:] = best
+    ys = [0, 1 << (l1 - 1) | ones >> 1]  # the chain's x_d - 1
+    for c in best:
+        ys.append(ys[-1] >> c << c | 1 << (c - 1))
+    final = 1 | 1 << l1 | ones
+    assignment = []
+    for J in connector_sets(n, k):
+        t = admissible(J, final).bit_length() - 1  # largest admissible offset
+        assignment.append((J, (ys[1] >> t << t) + 1))
+    witness = MonoCopyWitness(
+        FLAVOR_F, color, tuple(y + 1 for y in ys), tuple(assignment)
+    )
+    return SearchOutcome(WITNESS, witness, counters)
 
 
 def _reflect_witness(w: MonoCopyWitness, ground_size: int) -> MonoCopyWitness:
@@ -318,7 +465,6 @@ def find_mono_f_copy(
     spec: FamilySpec,
     colors,
     budget: Optional[SearchBudget] = None,
-    workers: int = 1,
 ) -> SearchOutcome:
     """Exhaustive search for a monochromatic family copy in the coloring.
 
@@ -326,8 +472,12 @@ def find_mono_f_copy(
     is the least one under (color, chain, connector assignment).  With
     a budget, a search that neither completes nor finds a copy reports
     indeterminate.  A revF copy of chi is an F copy of the reflected
-    coloring, so reversed flavors run the same engine on
-    `ReflectedColoring(chi)` and reflect the witness back.
+    coloring, so reversed flavors run on `ReflectedColoring(chi)` and
+    reflect the witness back.  An evaluator whose `memo_key` is
+    `level_profile` is searched in level space (`_search_levels`), any
+    other in leaf space (`_search_chains_ascending`); the two engines
+    give the same status and witness, and their counters count
+    different things (see `SearchCounters`).
     """
     if spec.k != chi.uniformity:
         raise ValueError(
@@ -343,10 +493,14 @@ def find_mono_f_copy(
     spec_fields = (spec.k, spec.n, spec.I)
     reversed_flavor = spec.flavor == FLAVOR_REVF
     evaluator = ReflectedColoring(chi) if reversed_flavor else chi
+    if getattr(evaluator, "memo_key", None) is level_profile:
+        engine = _search_levels
+    else:
+        engine = _search_chains_ascending
 
     counters = SearchCounters()
     for color in sorted(set(colors)):
-        outcome = _run_partitioned(evaluator, spec_fields, color, budget, workers)
+        outcome = engine(evaluator, spec_fields, color, budget)
         counters = counters.merged(outcome.counters)
         if outcome.status != CLEAN:
             witness = outcome.witness
@@ -452,7 +606,6 @@ def verify_stepup_avoidance(
     chi,
     spec: FamilySpec,
     budget: Optional[SearchBudget] = None,
-    workers: int = 1,
 ) -> AvoidanceReport:
     """The four acceptance slots: F in colors 0,1 and revF in colors 2,3.
 
@@ -466,7 +619,7 @@ def verify_stepup_avoidance(
     for flavor, colors in ((FLAVOR_F, (0, 1)), (FLAVOR_REVF, (2, 3))):
         slot_spec = spec.with_flavor(flavor)
         for color in colors:
-            outcome = find_mono_f_copy(chi, slot_spec, {color}, budget, workers)
+            outcome = find_mono_f_copy(chi, slot_spec, {color}, budget)
             if outcome.witness is not None and not validate_witness(
                 chi, slot_spec, outcome.witness
             ):

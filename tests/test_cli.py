@@ -91,6 +91,39 @@ class TestExitCodes:
         assert witness["distinguished"] == [1, 2, 3, 5, 9]
 
 
+class TestFrontier:
+    def test_c4_k4_tower_completes(self, c4_file, tmp_path, capsys):
+        # 2**16 leaves, no budget: every slot is decided in level space
+        # and each witness passes the re-check before it is reported.
+        out = tmp_path / "run"
+        code = run(
+            ["stepup", "verify", "--base", c4_file, "--k", "4", "--n", "4",
+             "--I", "1,2,3", "--out", str(out)]
+        )
+        assert code == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report["ground_size"] == 1 << 16
+        chains = {
+            (s["flavor"], s["color"]): tuple(s["witness"]["distinguished"])
+            for s in report["slots"]
+            if s["status"] == "witness"
+        }
+        assert chains == {
+            ("F", 0): (1, 2, 3, 5, 6),
+            ("F", 1): (1, 3, 4, 5, 257),
+            ("revF", 2): (65536, 65534, 65533, 65532, 65280),
+            ("revF", 3): (65536, 65535, 65534, 65532, 65520),
+        }
+
+    def test_workers_flag_is_gone(self, c4_file, capsys):
+        code = run(
+            ["stepup", "verify", "--base", c4_file, "--k", "3", "--n", "4",
+             "--I", "1,2", "--workers", "2"]
+        )
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"]
+
+
 class TestCommands:
     def test_bound_tower_value(self, capsys):
         assert run(["bound", "tower", "--i", "2", "--x", "2"]) == 0
@@ -208,6 +241,26 @@ class TestCommands:
         assert run(
             ["stepup", "verify", "--tower", str(descriptor), "--n", "4", "--I", "1,2"]
         ) == 0
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("target_k", "x"), ("target_k", 3.5), ("target_k", None), ("target_k", [4]),
+         ("cap", "big"), ("cap", 0), ("base", 5)],
+        ids=["string-target", "float-target", "null-target", "list-target",
+             "string-cap", "zero-cap", "number-base"],
+    )
+    def test_bad_tower_descriptor(self, tmp_path, capsys, c4_file, field, value):
+        from treeramsey.reporting import dump_json
+
+        obj = {"schema": "treeramsey/tower/1", "base": c4_file, "target_k": 3}
+        obj[field] = value
+        descriptor = tmp_path / "tower.json"
+        descriptor.write_text(dump_json(obj))
+        code = run(
+            ["stepup", "verify", "--tower", str(descriptor), "--n", "4", "--I", "1,2"]
+        )
+        assert code == 2
+        assert field in json.loads(capsys.readouterr().err)["error"]
 
     def test_color_import_summary(self, c4_file, capsys):
         assert run(["color", "import", "--file", c4_file]) == 0

@@ -1,10 +1,11 @@
 """Search engine against a joint brute-force oracle and its invariants."""
 
 import itertools
+import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from treeramsey import (
@@ -30,6 +31,7 @@ from treeramsey import (
     validate_witness,
     verify_stepup_avoidance,
 )
+import treeramsey.search as search_module
 from treeramsey.families import FLAVOR_F, FLAVOR_G, FLAVOR_REVF, contains_fstar
 from treeramsey.search import (
     CLEAN,
@@ -76,6 +78,16 @@ def joint_oracle(chi, spec, colors):
                     )
                     return WITNESS, witness
     return CLEAN, None
+
+
+def leaf_engine(chi, spec, colors, budget=None):
+    """`find_mono_f_copy` with the leaf-space engine in place of the
+    level-space one, whatever the coloring's memo key."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            search_module, "_search_levels", search_module._search_chains_ascending
+        )
+        return find_mono_f_copy(chi, spec, colors, budget)
 
 
 def recheck_edge_color(base, edge, depth):
@@ -182,49 +194,146 @@ class TestMonoCopySearch:
         assert outcome.status == INDETERMINATE
         assert outcome.witness is None
 
-    def test_worker_count_does_not_change_answers(self, c4_base):
+    def test_warmed_table_does_not_change_answers(self, c4_base):
+        # A coloring whose profile table an earlier search has filled
+        # answers exactly as a fresh one, in both engines.
         spec = FamilySpec(3, 4, (1, 2), FLAVOR_F)
-        chi0 = build_tower(all_zero_coloring(4), 3).top
-        seq = find_mono_f_copy(chi0, spec, {0}, workers=1)
-        par = find_mono_f_copy(chi0, spec, {0}, workers=3)
-        assert seq.witness == par.witness
-        chi_clean = build_tower(c4_base, 3).top
-        assert find_mono_f_copy(chi_clean, spec, {0}, workers=3).status == CLEAN
         rev = spec.with_flavor(FLAVOR_REVF)
-        one = find_mono_f_copy(chi0, rev, {3}, workers=1)
-        two = find_mono_f_copy(chi0, rev, {3}, workers=2)
-        assert one.witness == two.witness
-        assert one.witness == find_rev_copy_descending(chi0, rev, {3}).witness
-        # a coloring whose profile table is already filled is pickled to
-        # the workers with it and must answer the same
-        warmed = build_tower(all_zero_coloring(4), 3).top
-        find_mono_f_copy(warmed, spec, {0}, workers=1)
-        assert warmed._table
-        for workers in (1, 2):
-            outcome = find_mono_f_copy(warmed, spec, {0}, workers=workers)
-            assert outcome.witness == seq.witness
+        for base in (all_zero_coloring(4), c4_base):
+            fresh = {
+                (s.flavor, color): find_mono_f_copy(build_tower(base, 3).top, s, {color})
+                for s, color in ((spec, 0), (spec, 1), (rev, 2), (rev, 3))
+            }
+            warmed = build_tower(base, 3).top
+            leaf_engine(warmed, spec, {0, 1})
+            assert warmed._table
+            for (flavor, color), want in fresh.items():
+                s = spec.with_flavor(flavor)
+                got = find_mono_f_copy(warmed, s, {color})
+                assert (got.status, got.witness) == (want.status, want.witness)
+                leaf = leaf_engine(warmed, s, {color})
+                assert (leaf.status, leaf.witness) == (want.status, want.witness)
+        chi0 = build_tower(all_zero_coloring(4), 3).top
+        assert (
+            find_mono_f_copy(chi0, rev, {3}).witness
+            == find_rev_copy_descending(chi0, rev, {3}).witness
+        )
 
 
 class TestReflectedMatchesDescendingOracle:
     """revF answers through the reflected coloring against the direct
-    descending engine, which survives only as this test's oracle."""
+    descending engine, which survives only as this test's oracle.
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    Colors 2 and 3 are asked one per query, or both in one query, which
+    must report the lesser color that has a copy."""
+
+    @pytest.mark.parametrize("colors_per_query", [1, 2])
     @pytest.mark.parametrize("grid", sorted(REV_GRIDS))
-    def test_same_status_and_witness(self, grid, workers):
+    def test_same_status_and_witness(self, grid, colors_per_query):
+        queries = [{2}, {3}] if colors_per_query == 1 else [{2, 3}]
         statuses = set()
         for chi, spec in REV_GRIDS[grid]():
-            for color in (2, 3):
-                got = find_mono_f_copy(chi, spec, {color}, workers=workers)
-                want = find_rev_copy_descending(chi, spec, {color})
+            for colors in queries:
+                got = find_mono_f_copy(chi, spec, colors)
+                want = find_rev_copy_descending(chi, spec, colors)
                 assert (got.status, got.witness) == (want.status, want.witness)
-                if workers == 1:
-                    # mirror-image enumerations do the same work
-                    assert got.counters == want.counters
+                # the leaf engine and the descending oracle enumerate
+                # mirror-image chains, so they do the same work
+                leaf = leaf_engine(chi, spec, colors)
+                assert (leaf.status, leaf.witness) == (want.status, want.witness)
+                assert leaf.counters == want.counters
                 statuses.add(got.status)
         assert statuses <= {CLEAN, WITNESS}
         if grid == "k4-010-256":
             assert statuses == {WITNESS}
+
+
+def family_specs(k, n):
+    """Every F spec of uniformity k on n+1 chain leaves."""
+    specs = []
+    for rest in itertools.combinations(range(3, n + 1), k - 3):
+        try:
+            specs.append(FamilySpec(k, n, (1, 2) + rest, FLAVOR_F))
+        except ValueError:  # I not separated
+            pass
+    return specs
+
+
+def random_base(rng, points):
+    table = tuple(rng.randrange(2) for _ in range(math.comb(points, 2)))
+    return BaseColoring(2, points, BINARY, table)
+
+
+def level_grid():
+    """(coloring, F spec) pairs: C4 and the 12 pentagons at k=3, `0 1 0`
+    at k=4, and seeded random 3- and 4-point bases at k=3 and 4."""
+    yield build_tower(c4_coloring(), 3).top, FamilySpec(3, 4, (1, 2), FLAVOR_F)
+    for base in pentagon_labellings():
+        yield build_tower(base, 3).top, FamilySpec(3, 5, (1, 2), FLAVOR_F)
+    yield (
+        build_tower(BaseColoring(2, 3, BINARY, (0, 1, 0)), 4).top,
+        FamilySpec(4, 4, (1, 2, 3), FLAVOR_F),
+    )
+    rng = random.Random(11)
+    for _ in range(48):
+        points, k = rng.choice((3, 4)), rng.choice((3, 4))
+        n = rng.choice(range(k, 6))
+        yield build_tower(random_base(rng, points), k).top, rng.choice(family_specs(k, n))
+
+
+SLOTS = ((FLAVOR_F, 0), (FLAVOR_F, 1), (FLAVOR_REVF, 2), (FLAVOR_REVF, 3))
+
+
+class TestLevelSpaceMatchesLeafEngine:
+    """Stepped colorings are searched over level words; the leaf engine,
+    run under a node budget, is the oracle on every slot it decides."""
+
+    ORACLE_BUDGET = SearchBudget(max_nodes=20_000)
+
+    def test_grid(self):
+        decided = 0
+        for chi, spec in level_grid():
+            for flavor, color in SLOTS:
+                slot_spec = spec.with_flavor(flavor)
+                want = leaf_engine(chi, slot_spec, {color}, self.ORACLE_BUDGET)
+                if want.status == INDETERMINATE:
+                    continue
+                got = find_mono_f_copy(chi, slot_spec, {color})
+                assert (got.status, got.witness) == (want.status, want.witness)
+                decided += 1
+        assert decided >= 150
+
+    def test_every_four_point_base_in_every_color(self):
+        # Off-slot colors (F in 2 or 3, revF in 0 or 1) are where the
+        # offsets below l_1 and the records that close them decide.
+        for table in itertools.product((0, 1), repeat=6):
+            chi = build_tower(BaseColoring(2, 4, BINARY, table), 3).top
+            for n in (3, 4):
+                for flavor in (FLAVOR_F, FLAVOR_REVF):
+                    spec = FamilySpec(3, n, (1, 2), flavor)
+                    for color in range(4):
+                        got = find_mono_f_copy(chi, spec, {color})
+                        want = leaf_engine(chi, spec, {color})
+                        assert (got.status, got.witness) == (want.status, want.witness)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32),
+        st.sampled_from((3, 4)),
+        st.sampled_from((3, 4)),
+        st.sampled_from((FLAVOR_F, FLAVOR_REVF)),
+        st.integers(min_value=0, max_value=3),
+        st.data(),
+    )
+    def test_random_bases(self, seed, points, k, flavor, color, data):
+        rng = random.Random(seed)
+        chi = build_tower(random_base(rng, points), k).top
+        n = data.draw(st.sampled_from(range(k, 6)))
+        spec = data.draw(st.sampled_from(family_specs(k, n))).with_flavor(flavor)
+        want = leaf_engine(chi, spec, {color}, SearchBudget(max_nodes=5_000))
+        assume(want.status != INDETERMINATE)
+        got = find_mono_f_copy(chi, spec, {color})
+        assert (got.status, got.witness) == (want.status, want.witness)
 
 
 class TestAvoidanceReport:
@@ -235,17 +344,16 @@ class TestAvoidanceReport:
         for slot in report.slots:
             own = find_mono_f_copy(chi, spec.with_flavor(slot.flavor), {slot.color})
             assert slot.counters == own.counters
-        assert report.to_json()["counters"]["nodes"] == 369_545
+        # level space: letters tried over all oracle calls of each slot
+        assert report.to_json()["counters"]["nodes"] == 433
 
     def test_witness_failing_recheck_raises(self, monkeypatch):
-        import treeramsey.search as search_module
-
         chi = build_tower(all_zero_coloring(4), 3).top
         spec = FamilySpec(3, 4, (1, 2), FLAVOR_F)
         real = search_module.find_mono_f_copy
 
-        def wrong_color(chi, spec, colors, budget=None, workers=1):
-            outcome = real(chi, spec, colors, budget, workers)
+        def wrong_color(chi, spec, colors, budget=None):
+            outcome = real(chi, spec, colors, budget)
             w = outcome.witness
             if w is None:
                 return outcome
