@@ -273,22 +273,8 @@ def _cmd_steiner_plane(args) -> int:
     return EXIT_OK
 
 
-class _RawSystem:
-    """System loaded from a file: enough surface for assembly and checks."""
-
-    def __init__(self, obj: dict):
-        self.vertex_count = obj["v"]
-        self.k = obj["k"]
-        self.edges = tuple(tuple(sorted(e)) for e in obj["edges"])
-        params = obj.get("params")
-        self.n = params["n"] if params else None
-
-    def iter_edges(self):
-        return iter(self.edges)
-
-
 def _cmd_steiner_assemble(args) -> int:
-    system = _RawSystem(steiner.read_system(args.system))
+    system = steiner.read_system(args.system)
     with open(args.plane, "r", encoding="utf-8") as fh:
         plane = steiner.ProjectivePlane.from_json(json.load(fh))
     glued = steiner.assemble_h(system, plane, args.seed)
@@ -311,8 +297,8 @@ def _cmd_steiner_assemble(args) -> int:
 
 
 def _cmd_steiner_check(args) -> int:
-    system = _RawSystem(steiner.read_system(args.file))
-    witness = steiner.is_partial_steiner(system, args.ell)
+    system = steiner.read_system(args.file)
+    witness = steiner.is_partial_steiner(system.edges, args.ell)
     report = {
         "schema": "treeramsey/steiner-check/1",
         "ell": args.ell,
@@ -329,14 +315,7 @@ def _cmd_steiner_check(args) -> int:
 
 
 def _cmd_mc_run(args) -> int:
-    raw = steiner.read_system(args.system)
-    params = raw.get("params")
-    if params is not None:
-        system = steiner.BlowupSystem(
-            params["n"], params["k"], tuple(params["I"]), params["m"]
-        )
-    else:
-        system = _RawSystem(raw)
+    system = steiner.read_system(args.system)
     spec = FamilySpec(args.k, args.n, args.I, args.flavor)
     report_obj = steiner.sample_ordering_and_search(
         system, spec, args.trials, args.seed, args.workers

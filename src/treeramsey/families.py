@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Sequence
 
+from .reporting import check_schema, dump_json
+
 FLAVOR_F = "F"
 FLAVOR_REVF = "revF"
 FLAVOR_FSTAR = "Fstar"
@@ -190,15 +192,22 @@ class OrderedHypergraph:
 
     @classmethod
     def from_json(cls, obj: dict) -> "OrderedHypergraph":
-        allowed = {"schema", "v", "edges", "labels"}
-        unknown = set(obj) - allowed
-        if unknown:
-            raise ValueError(f"unknown fields in hypergraph JSON: {sorted(unknown)}")
-        if obj.get("schema") != HYPERGRAPH_SCHEMA:
-            raise ValueError(f"expected schema {HYPERGRAPH_SCHEMA}, got {obj.get('schema')!r}")
-        edges = tuple(tuple(sorted(e)) for e in obj["edges"])
-        labels = obj.get("labels")
-        return cls(obj["v"], edges, dict(labels) if labels is not None else None)
+        """Read a document with an integer v, edges, a list of non-empty
+        integer lists, and optional labels, an object of integer positions."""
+        check_schema(obj, HYPERGRAPH_SCHEMA, {"v", "edges", "labels"})
+        v, edges, labels = obj.get("v"), obj.get("edges"), obj.get("labels")
+        if type(v) is not int:
+            raise ValueError(f"hypergraph v must be an integer, got {v!r}")
+        if not isinstance(edges, list) or not all(
+            isinstance(e, list) and e and all(type(x) is int for x in e) for e in edges
+        ):
+            raise ValueError("hypergraph edges must be a list of non-empty integer lists")
+        if labels is not None and not (
+            isinstance(labels, dict) and all(type(p) is int for p in labels.values())
+        ):
+            raise ValueError("hypergraph labels must be an object of integer positions")
+        edges = tuple(tuple(sorted(e)) for e in edges)
+        return cls(v, edges, dict(labels) if labels is not None else None)
 
 
 def reverse(H: OrderedHypergraph) -> OrderedHypergraph:
@@ -434,10 +443,6 @@ def enumerate_blueprints(spec: FamilySpec) -> Iterator[MemberBlueprint]:
                     yield MemberBlueprint(spec, tuple(classes), tuple(placements))
 
 
-def hypergraph_to_text(H: OrderedHypergraph) -> str:
-    return json.dumps(H.to_json(), sort_keys=True, indent=2) + "\n"
-
-
 def read_hypergraph(path) -> OrderedHypergraph:
     with open(path, "r", encoding="utf-8") as fh:
         return OrderedHypergraph.from_json(json.load(fh))
@@ -445,7 +450,7 @@ def read_hypergraph(path) -> OrderedHypergraph:
 
 def write_hypergraph(H: OrderedHypergraph, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(hypergraph_to_text(H))
+        fh.write(dump_json(H.to_json()))
 
 
 def member_vertex_count(spec: FamilySpec) -> int:

@@ -190,7 +190,8 @@ class MembershipColoring:
 
 
 def _ticker(counters: SearchCounters, budget: Optional[SearchBudget]):
-    """A node counter that raises BudgetExceeded past the budget."""
+    """A node counter that raises BudgetExceeded past the budget; the
+    clock is read on the first node and then every 1024th."""
     deadline = None
     if budget is not None and budget.max_seconds is not None:
         deadline = time.monotonic() + budget.max_seconds
@@ -200,9 +201,9 @@ def _ticker(counters: SearchCounters, budget: Optional[SearchBudget]):
         counters.nodes += 1
         if max_nodes is not None and counters.nodes > max_nodes:
             raise BudgetExceeded
-        if deadline is not None and counters.nodes % 1024 == 0:
-            if time.monotonic() > deadline:
-                raise BudgetExceeded
+        polled = counters.nodes == 1 or counters.nodes % 1024 == 0
+        if deadline is not None and polled and time.monotonic() >= deadline:
+            raise BudgetExceeded
 
     return tick
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -92,11 +93,12 @@ class BlowupSystem:
 
     @property
     def vertex_count(self) -> int:
-        return self.m * self.n + self.block_size * len(self.omega)
+        return self.m * self.n + self.edge_count
 
     @property
     def edge_count(self) -> int:
-        return self.block_size * len(self.omega)
+        # len(omega) by formula: sizing a blow-up never enumerates it
+        return self.block_size * (math.comb(self.n - 1, self.k - 1) + 1)
 
     def class_range(self, i: int) -> range:
         """Vertices of the distinguished class V_i."""
@@ -138,16 +140,14 @@ class BlowupSystem:
     def edges(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self.iter_edges())
 
-    def to_json(self, include_edges: bool = True) -> dict:
-        out = {
+    def to_json(self) -> dict:
+        return {
             "schema": SYSTEM_SCHEMA,
             "v": self.vertex_count,
             "k": self.k,
             "params": {"n": self.n, "k": self.k, "I": list(self.I), "m": self.m},
+            "edges": [list(e) for e in self.iter_edges()],
         }
-        if include_edges:
-            out["edges"] = [list(e) for e in self.iter_edges()]
-        return out
 
 
 def build_blowup(
@@ -290,10 +290,10 @@ class SteinerWitness(NamedTuple):
     shared: tuple[int, ...]
 
 
-def is_partial_steiner(system, ell: int) -> Optional[SteinerWitness]:
+def is_partial_steiner(edges, ell: int) -> Optional[SteinerWitness]:
     """Least pair of edges sharing an ell-subset, or None when the
-    system is a partial (k, ell)-system."""
-    edges = sorted(system.edges if hasattr(system, "edges") else system)
+    edges (a system's `edges`) form a partial (k, ell)-system."""
+    edges = sorted(edges)
     if edges and ell >= len(edges[0]):
         raise ValueError(f"ell must be below the uniformity, got {ell}")
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -311,7 +311,8 @@ def is_partial_steiner(system, ell: int) -> Optional[SteinerWitness]:
 
 @dataclass(frozen=True)
 class SteinerSystem:
-    """The glued system on the plane's points, with per-edge provenance."""
+    """A system by its edge list: the glued system with per-edge
+    provenance, or a system file without params (no provenance)."""
 
     v: int
     k: int
@@ -322,15 +323,13 @@ class SteinerSystem:
     def vertex_count(self) -> int:
         return self.v
 
-    def to_json(self, include_provenance: bool = True) -> dict:
-        out = {
+    def to_json(self) -> dict:
+        return {
             "schema": SYSTEM_SCHEMA,
             "v": self.v,
             "k": self.k,
             "edges": [list(e) for e in self.edges],
-        }
-        if include_provenance:
-            out["provenance"] = [
+            "provenance": [
                 {
                     "edge": list(e),
                     "copies": [
@@ -338,8 +337,8 @@ class SteinerSystem:
                     ],
                 }
                 for e, sources in sorted(self.provenance.items())
-            ]
-        return out
+            ],
+        }
 
 
 def assemble_h(system, plane: ProjectivePlane, seed: int) -> SteinerSystem:
@@ -357,7 +356,7 @@ def assemble_h(system, plane: ProjectivePlane, seed: int) -> SteinerSystem:
         raise ValueError(
             f"plane of order {p} is too small for a system on {v_sys} vertices"
         )
-    edges = list(system.iter_edges() if hasattr(system, "iter_edges") else system.edges)
+    edges = system.edges
     merged: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
     for line_id, line in enumerate(plane.lines):
         rng = random.Random(f"assemble:{seed}:{line_id}")
@@ -408,9 +407,8 @@ def ordering_as_hypergraph(system, ordering: Sequence[int]) -> OrderedHypergraph
     if sorted(ordering) != list(range(1, v + 1)):
         raise ValueError("ordering must be a permutation of the vertices")
     position = {orig: idx + 1 for idx, orig in enumerate(ordering)}
-    edges = system.iter_edges() if hasattr(system, "iter_edges") else system.edges
-    relabeled = tuple(sorted(tuple(sorted(position[x] for x in e)) for e in edges))
-    return OrderedHypergraph(v, relabeled)
+    relabeled = sorted(tuple(sorted(position[x] for x in e)) for e in system.edges)
+    return OrderedHypergraph(v, tuple(relabeled))
 
 
 def _run_ordering_trial(args):
@@ -445,10 +443,9 @@ def sample_ordering_and_search(
         raise ValueError(
             f"spec mismatch: uniformity {spec.k} vs system uniformity {system.k}"
         )
-    system_n = getattr(system, "n", None)
-    if system_n is not None and spec.n > system_n:
+    if isinstance(system, BlowupSystem) and spec.n > system.n:
         raise ValueError(
-            f"spec mismatch: n={spec.n} exceeds the system's class count {system_n}"
+            f"spec mismatch: n={spec.n} exceeds the system's class count {system.n}"
         )
     targets = {
         FLAVOR_G: canonical_member(spec.with_flavor(FLAVOR_G)),
@@ -478,10 +475,13 @@ def sample_ordering_and_search(
     return MonteCarloReport(spec, trials, seed, found, tuple(failures), tuple(trial_ms))
 
 
-def read_system(path) -> dict:
+def read_system(path) -> BlowupSystem | SteinerSystem:
     """Load a system file: a positive integer v, an integer k, edges, a
-    list of k-lists of distinct integers in [1, v], and optional params,
-    an object with integers n, k, m and a list of integers I."""
+    list of k-lists of distinct integers in [1, v], a provenance list
+    (not read) and params, an object with integers n, k, m and a list of
+    integers I.  With params the file must hold exactly that blow-up,
+    which is returned; sizes are compared before edges, so params cannot
+    force a large blow-up to be built.  Otherwise it is a SteinerSystem."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     check_schema(obj, SYSTEM_SCHEMA, {"v", "k", "edges", "provenance", "params"})
@@ -500,8 +500,13 @@ def read_system(path) -> dict:
             and len(set(e)) == k
         ):
             raise ValueError(f"edge {e!r} is not {k} distinct vertices in [1, {v}]")
+    if not isinstance(obj.get("provenance", []), list):
+        raise ValueError("system provenance must be a list")
+    edges = sorted(tuple(sorted(e)) for e in edges)
     params = obj.get("params")
-    if params is not None and not (
+    if params is None:
+        return SteinerSystem(v, k, tuple(edges), {})
+    if not (
         isinstance(params, dict)
         and all(type(params.get(f)) is int for f in ("n", "k", "m"))
         and isinstance(params.get("I"), list)
@@ -511,4 +516,12 @@ def read_system(path) -> dict:
             f"system params must hold integers n, k, m and a list of integers I, "
             f"got {params!r}"
         )
-    return obj
+    try:
+        system = BlowupSystem(params["n"], params["k"], tuple(params["I"]), params["m"])
+    except ValueError as exc:
+        raise ValueError(f"system params name no blow-up: {exc}") from None
+    if (system.k, system.vertex_count, system.edge_count) != (k, v, len(edges)) or (
+        sorted(system.iter_edges()) != edges
+    ):
+        raise ValueError(f"system params {params!r} do not describe the file's system")
+    return system

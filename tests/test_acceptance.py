@@ -306,7 +306,7 @@ def test_criterion_08_steiner_constructions():
     for seed in range(25):
         glued = assemble_h(toy, plane, seed)
         assert glued.v == p * p + p + 1
-        assert is_partial_steiner(glued, 2) is None
+        assert is_partial_steiner(glued.edges, 2) is None
     elapsed = time.monotonic() - start
     assert elapsed < 300.0
     report_line(
@@ -331,7 +331,8 @@ def test_criterion_09_monte_carlo():
     for t in range(50):
         rng = random.Random(f"ordering:2026:{t}")
         ordering = _shuffled(list(range(1, toy.vertex_count + 1)), rng)
-        assert is_partial_steiner(ordering_as_hypergraph(toy, ordering), 2) is None
+        relabeled = ordering_as_hypergraph(toy, ordering)
+        assert is_partial_steiner(relabeled.edges, 2) is None
 
     # failing orderings replay to the same miss
     for failure in report.failures:

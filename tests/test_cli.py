@@ -1,8 +1,12 @@
 """Exit-code contract, stderr JSON errors, and manifest reproducibility."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeramsey import export_coloring, write_coloring
 from treeramsey.cli import main
@@ -73,6 +77,18 @@ class TestExitCodes:
         code = run(
             ["stepup", "verify", "--base", str(path), "--k", "3", "--n", "4",
              "--I", "1,2", "--max-nodes", "0", "--out", str(out)]
+        )
+        assert code == 3
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "indeterminate"
+
+    def test_zero_seconds_budget_is_three(self, c4_file, tmp_path, capsys):
+        # unbounded, each slot is clean after a few dozen letters, so
+        # only a clock read on the first node can stop the search
+        out = tmp_path / "run"
+        code = run(
+            ["stepup", "verify", "--base", c4_file, "--k", "3", "--n", "4",
+             "--I", "1,2", "--max-seconds", "0", "--out", str(out)]
         )
         assert code == 3
         report = json.loads((out / "report.json").read_text())
@@ -356,6 +372,168 @@ class TestMalformedSteinerFiles:
                     "--I", "1,2", "--trials", "1", "--out", str(tmp_path / "mc")])
         assert code == 2
         assert "params" in json.loads(capsys.readouterr().err)["error"]
+
+
+    @pytest.mark.parametrize("command", ["check", "assemble", "mc"])
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            # params name the blow-up on 5 vertices with 2 edges
+            {"v": 3, "k": 3, "edges": [[1, 2, 3]],
+             "params": {"n": 3, "k": 3, "I": [1, 2], "m": 1}},
+            # right sizes, but (1, 2, 3) is no edge of that blow-up
+            {"v": 5, "k": 3, "edges": [[1, 2, 3], [1, 2, 5]],
+             "params": {"n": 3, "k": 3, "I": [1, 2], "m": 1}},
+            # n < k: the params name no blow-up at all
+            {"v": 3, "k": 3, "edges": [[1, 2, 3]],
+             "params": {"n": 2, "k": 3, "I": [1, 2], "m": 1}},
+        ],
+        ids=["other-sizes", "other-edges", "no-blowup"],
+    )
+    def test_params_contradicting_the_file(self, tmp_path, capsys, command, doc):
+        from treeramsey import build_projective_plane
+        from treeramsey.steiner import SYSTEM_SCHEMA
+
+        path = self.write(tmp_path / "s.json", {"schema": SYSTEM_SCHEMA, **doc})
+        plane = self.write(tmp_path / "plane.json", build_projective_plane(5).to_json())
+        argv = {
+            "check": ["steiner", "check", "--file", path, "--ell", "2"],
+            "assemble": ["steiner", "assemble", "--system", path, "--plane", plane,
+                         "--out-file", str(tmp_path / "h.json")],
+            "mc": ["mc", "run", "--system", path, "--k", "3", "--n", "3",
+                   "--I", "1,2", "--trials", "2", "--out", str(tmp_path / "mc")],
+        }[command]
+        assert run(argv) == 2
+        assert "params" in json.loads(capsys.readouterr().err)["error"]
+
+
+class TestMalformedHypergraphFile:
+    @pytest.mark.parametrize(
+        "field,value",
+        [("v", "x"), ("edges", 5), ("edges", [[1, 2, "a"]]), ("edges", [[]]),
+         ("labels", 5)],
+        ids=["string-v", "number-edges", "string-vertex", "empty-edge", "number-labels"],
+    )
+    def test_family_check_exits_two(self, tmp_path, capsys, field, value):
+        from treeramsey import FamilySpec, canonical_member
+
+        obj = canonical_member(FamilySpec(3, 4, (1, 2), "G")).to_json()
+        obj[field] = value
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(obj))
+        code = run(["family", "check", "--file", str(path), "--k", "3", "--n", "4",
+                    "--I", "1,2", "--flavor", "G"])
+        assert code == 2
+        assert field in json.loads(capsys.readouterr().err)["error"]
+
+
+_JSON_VALUES = {
+    "null": st.none(),
+    "boolean": st.booleans(),
+    "number": st.integers(-3, 10**6) | st.floats(allow_nan=False, allow_infinity=False),
+    "string": st.text(max_size=6),
+    "array": st.lists(st.integers(-2, 9) | st.text(max_size=2), max_size=4),
+    "object": st.dictionaries(st.text(max_size=3), st.integers(-2, 9), max_size=3),
+}
+
+
+def _json_type(value):
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    return {str: "string", list: "array", dict: "object"}[type(value)]
+
+
+@pytest.fixture(scope="module")
+def reader_cases(tmp_path_factory):
+    """Valid documents per reader: (doc, optional fields, argv for a path)."""
+    from treeramsey import (
+        FamilySpec, assemble_h, build_blowup, build_projective_plane, canonical_member,
+    )
+    from treeramsey.reporting import dump_json
+
+    d = tmp_path_factory.mktemp("readers")
+    blowup = build_blowup(3, 3, (1, 2), m=1)
+    plane = build_projective_plane(5)
+    system_path = d / "system.json"
+    system_path.write_text(dump_json(blowup.to_json()))
+    c4_path = d / "c4.coloring"
+    write_coloring(c4_coloring(), c4_path)
+    target = str(d / "doc.json")
+
+    def check(path):
+        return ["steiner", "check", "--file", path, "--ell", "2"]
+
+    return target, {
+        "blowup": (blowup.to_json(), {"params"}, check),
+        "glued": (assemble_h(blowup, plane, 0).to_json(), {"provenance"}, check),
+        "hypergraph": (
+            canonical_member(FamilySpec(3, 4, (1, 2), "G")).to_json(),
+            {"labels"},
+            lambda path: ["family", "check", "--file", path, "--k", "3", "--n", "4",
+                          "--I", "1,2", "--flavor", "G"],
+        ),
+        "plane": (
+            plane.to_json(),
+            set(),
+            lambda path: ["steiner", "assemble", "--system", str(system_path),
+                          "--plane", path, "--out-file", str(d / "h.json")],
+        ),
+        "tower": (
+            {"schema": "treeramsey/tower/1", "base": str(c4_path), "target_k": 3,
+             "cap": 1 << 20},
+            {"cap"},
+            lambda path: ["stepup", "verify", "--tower", path, "--n", "4", "--I", "1,2"],
+        ),
+    }
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+class TestReaderFuzz:
+    """One top-level field of a valid document is dropped or given a
+    value of another JSON type; the reader must refuse it with exit 2.
+
+    Optional fields are never dropped, and never set to null, which
+    reads as absent."""
+
+    def test_valid_documents_run(self, reader_cases):
+        target, cases = reader_cases
+        for doc, _, argv in cases.values():
+            with open(target, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            assert _run_quietly(argv(target))[0] == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_mutated_field_exits_two(self, reader_cases, data):
+        target, cases = reader_cases
+        doc, optional, argv = cases[data.draw(st.sampled_from(sorted(cases)))]
+        field = data.draw(st.sampled_from(sorted(doc)))
+        kinds = set(_JSON_VALUES) - {_json_type(doc[field])}
+        if field in optional:
+            kinds.discard("null")
+        else:
+            kinds.add("drop")
+        kind = data.draw(st.sampled_from(sorted(kinds)))
+        mutated = dict(doc)
+        if kind == "drop":
+            del mutated[field]
+        else:
+            mutated[field] = data.draw(_JSON_VALUES[kind])
+        with open(target, "w", encoding="utf-8") as fh:
+            json.dump(mutated, fh)
+        code, err = _run_quietly(argv(target))
+        assert code == 2, (field, kind, mutated.get(field))
+        assert json.loads(err)["error"]
 
 
 class TestReproducibility:

@@ -21,7 +21,14 @@ from treeramsey import (
     validate_projective_plane,
 )
 from treeramsey.families import FLAVOR_G
-from treeramsey.steiner import ProjectivePlane, _shuffled
+from treeramsey import steiner
+from treeramsey.steiner import (
+    SYSTEM_SCHEMA,
+    ProjectivePlane,
+    SteinerSystem,
+    _shuffled,
+    read_system,
+)
 
 PRIMES_TO_31 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -251,7 +258,7 @@ class TestPartialSteiner:
         )
 
     def test_toy_blowup_clean(self):
-        assert is_partial_steiner(toy_blowup(), 2) is None
+        assert is_partial_steiner(toy_blowup().edges, 2) is None
 
     def test_single_edge_clean(self):
         assert is_partial_steiner([(1, 2, 3)], 2) is None
@@ -265,7 +272,7 @@ class TestPartialSteiner:
         rng = random.Random(3)
         ordering = _shuffled(list(range(1, system.vertex_count + 1)), rng)
         shuffled = ordering_as_hypergraph(system, ordering)
-        assert is_partial_steiner(shuffled, 2) is None
+        assert is_partial_steiner(shuffled.edges, 2) is None
 
 
 class TestAssembly:
@@ -278,7 +285,7 @@ class TestAssembly:
         assert glued.v == p * p + p + 1 == 307
         # two lines share one point, so no cross-line edge collisions
         assert len(glued.edges) == len(plane.lines) * system.edge_count
-        assert is_partial_steiner(glued, 2) is None
+        assert is_partial_steiner(glued.edges, 2) is None
 
     def test_seed_changes_layout_not_validity(self):
         system = toy_blowup()
@@ -287,7 +294,7 @@ class TestAssembly:
         b = assemble_h(system, plane, seed=2)
         assert a.edges != b.edges
         assert assemble_h(system, plane, seed=1).edges == a.edges
-        assert is_partial_steiner(b, 2) is None
+        assert is_partial_steiner(b.edges, 2) is None
 
     def test_provenance_tracks_lines(self):
         system = toy_blowup()
@@ -305,6 +312,42 @@ class TestAssembly:
         system = toy_blowup()
         with pytest.raises(ValueError, match="too small"):
             assemble_h(system, build_projective_plane(13), seed=0)
+
+
+class TestReadSystem:
+    @staticmethod
+    def write(path, obj):
+        from treeramsey.reporting import dump_json
+
+        path.write_text(dump_json(obj))
+        return path
+
+    def test_blowup_file_reads_as_its_blowup(self, tmp_path):
+        system = toy_blowup()
+        path = self.write(tmp_path / "r.json", system.to_json())
+        assert read_system(path) == system
+
+    def test_file_without_params_reads_as_steiner_system(self, tmp_path):
+        glued = assemble_h(toy_blowup(), build_projective_plane(17), seed=3)
+        path = self.write(tmp_path / "h.json", glued.to_json())
+        again = read_system(path)
+        assert isinstance(again, SteinerSystem)
+        assert (again.vertex_count, again.k, again.edges) == (307, 3, glued.edges)
+
+    def test_sizes_compared_before_the_blowup_is_built(self, tmp_path, monkeypatch):
+        # n = 10**6 names a blow-up with about 5 * 10**11 connector sets;
+        # the file is refused from the counts, without enumerating them
+        def no_enumeration(n, k):
+            raise AssertionError("connector sets enumerated")
+
+        monkeypatch.setattr(steiner, "connector_sets", no_enumeration)
+        path = self.write(
+            tmp_path / "huge.json",
+            {"schema": SYSTEM_SCHEMA, "v": 3, "k": 3, "edges": [[1, 2, 3]],
+             "params": {"n": 10**6, "k": 3, "I": [1, 2], "m": 1}},
+        )
+        with pytest.raises(ValueError, match="params"):
+            read_system(path)
 
 
 class TestOrderingExperiment:
