@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -28,7 +29,7 @@ from .colorings import (
     DEFAULT_TOWER_CAP,
 )
 from .families import FamilySpec, canonical_member, is_member
-from .reporting import RunManifest, check_schema, dump_json, tower
+from .reporting import RunManifest, check_schema, dump_json, dump_records, tower
 from .trees import LeafSet, TreeParams, classify, projection
 
 EXIT_OK = 0
@@ -50,8 +51,12 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _emit(args, command: str, params: dict, report: dict, witnesses=None, seeds=None):
-    manifest = RunManifest(command=command, params=params, seeds=seeds or {})
+def _emit(
+    args, command: str, params: dict, report: dict, witnesses=None, seeds=None, metrics=None
+):
+    manifest = RunManifest(
+        command=command, params=params, seeds=seeds or {}, metrics=metrics or {}
+    )
     manifest.elapsed_ms = (time.monotonic() - args._start) * 1000.0
     reporting.emit_run(manifest, report, getattr(args, "out", None), witnesses)
 
@@ -168,7 +173,7 @@ def _cmd_stepup_verify(args) -> int:
     if args.max_nodes is not None or args.max_seconds is not None:
         budget = search.SearchBudget(args.max_nodes, args.max_seconds)
     report_obj = search.verify_stepup_avoidance(chi, spec, budget)
-    report = report_obj.to_json(include_timing=False)
+    report = report_obj.to_json()
     witnesses = {
         f"slot_{slot.flavor}_{slot.color}": slot.witness.to_json()
         for slot in report_obj.slots
@@ -186,6 +191,7 @@ def _cmd_stepup_verify(args) -> int:
         },
         report,
         witnesses=witnesses or None,
+        metrics={"search_ms": report_obj.elapsed_ms},
     )
     if report_obj.status == search.WITNESS:
         return EXIT_FOUND
@@ -240,7 +246,7 @@ def _cmd_steiner_blowup(args) -> int:
             f"{args.max_edges}; raise the limit to materialize it"
         )
     with open(args.out_file, "w", encoding="utf-8") as fh:
-        fh.write(dump_json(system.to_json()))
+        fh.write(dump_records(system.to_json()))
     report = {
         "schema": "treeramsey/steiner-blowup/1",
         "v": system.vertex_count,
@@ -261,7 +267,7 @@ def _cmd_steiner_plane(args) -> int:
     plane = steiner.build_projective_plane(args.order)
     steiner.validate_projective_plane(plane)
     with open(args.out_file, "w", encoding="utf-8") as fh:
-        fh.write(dump_json(plane.to_json()))
+        fh.write(dump_records(plane.to_json()))
     report = {
         "schema": "treeramsey/steiner-plane/1",
         "order": plane.order,
@@ -279,7 +285,7 @@ def _cmd_steiner_assemble(args) -> int:
         plane = steiner.ProjectivePlane.from_json(json.load(fh))
     glued = steiner.assemble_h(system, plane, args.seed)
     with open(args.out_file, "w", encoding="utf-8") as fh:
-        fh.write(dump_json(glued.to_json()))
+        fh.write(dump_records(glued.to_json()))
     report = {
         "schema": "treeramsey/steiner-assemble/1",
         "v": glued.v,
@@ -320,7 +326,8 @@ def _cmd_mc_run(args) -> int:
     report_obj = steiner.sample_ordering_and_search(
         system, spec, args.trials, args.seed, args.workers
     )
-    report = report_obj.to_json(include_timing=False)
+    report = report_obj.to_json()
+    trial_ms = sorted(report_obj.trial_ms)
     _emit(
         args,
         "mc run",
@@ -334,8 +341,20 @@ def _cmd_mc_run(args) -> int:
         },
         report,
         seeds={"seed": args.seed},
+        metrics={
+            "trial_ms": {
+                "p50": _nearest_rank(trial_ms, 0.50),
+                "p95": _nearest_rank(trial_ms, 0.95),
+                "max": trial_ms[-1],
+            }
+        },
     )
     return EXIT_OK if not report_obj.failures else EXIT_FOUND
+
+
+def _nearest_rank(ordered: list[float], q: float) -> float:
+    """The q-quantile of a sorted, non-empty list by nearest rank."""
+    return ordered[math.ceil(q * len(ordered)) - 1]
 
 
 def _cmd_bound_tower(args) -> int:

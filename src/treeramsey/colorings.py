@@ -314,6 +314,8 @@ def import_coloring(text: Union[str, bytes]) -> BaseColoring:
         r, n = int(header[1]), int(header[2])
     except ValueError:
         raise ValueError(f"malformed header: {lines[0]!r}") from None
+    if not 1 <= r <= n:
+        raise ValueError(f"header needs 1 <= r <= N, got r={r}, N={n}")
     palette = header[3]
     if palette not in _PALETTES:
         raise ValueError(f"unknown palette {palette!r}")

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Sequence
 
-from .reporting import check_schema, dump_json
+from .reporting import check_schema, dump_records
 
 FLAVOR_F = "F"
 FLAVOR_REVF = "revF"
@@ -450,7 +450,7 @@ def read_hypergraph(path) -> OrderedHypergraph:
 
 def write_hypergraph(H: OrderedHypergraph, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_json(H.to_json()))
+        fh.write(dump_records(H.to_json()))
 
 
 def member_vertex_count(spec: FamilySpec) -> int:

@@ -582,11 +582,13 @@ class AvoidanceReport:
             return INDETERMINATE
         return CLEAN
 
-    def to_json(self, include_timing: bool = True) -> dict:
+    def to_json(self) -> dict:
+        """The report document; `elapsed_ms` is timing, which belongs
+        in the run manifest, so it is left out."""
         total = SearchCounters()
         for s in self.slots:
             total = total.merged(s.counters)
-        out = {
+        return {
             "schema": AVOIDANCE_SCHEMA,
             "spec": {
                 "k": self.spec.k,
@@ -598,9 +600,6 @@ class AvoidanceReport:
             "counters": total.to_json(),
             "status": self.status,
         }
-        if include_timing:
-            out["elapsed_ms"] = self.elapsed_ms
-        return out
 
 
 def verify_stepup_avoidance(

@@ -12,8 +12,12 @@ The plane layer costs O(N*p) steps for N = p**2+p+1 points: each line
 is solved for directly in canonical coordinates, and a plane is
 validated by point incidence (every point on p+1 lines that together
 reach every point), which forces exact pair cover and, by counting,
-that every two lines meet exactly once.  Plane and system files are
-checked on read.
+that every two lines meet exactly once; the union of the lines through
+a point is an OR of N-bit line masks, so validation is O(N*p) ORs.
+Plane and system files are checked on read.  The glued system's
+provenance is written as int records aligned with its edges: the
+copies of an edge, each as its line's index followed by the source
+edge.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass
@@ -257,30 +262,34 @@ def validate_projective_plane(plane: ProjectivePlane) -> None:
     """Raise unless the lines form a projective plane of the plane's order.
 
     Requires, with N = p**2+p+1: N lines of p+1 points strictly rising
-    in [1, N]; every point x on p+1 lines whose (p+1)**2 points, chained,
-    take all N values.  x fills p+1 of those entries, so the other
-    p(p+1) = N-1 are the other points once each: exact pair cover.
+    in [1, N]; every point x on p+1 lines whose (p+1)**2 points
+    together take all N values.  x fills p+1 of those entries, so the
+    other p(p+1) = N-1 are the other points once each: exact pair cover.
     Hence two lines meet at most once, and every line meets a line L:
     the p lines besides L through each of L's p+1 points are distinct
     (two of them sharing two points is ruled out), so they are
-    p(p+1) = N-1 lines, every line but L.  Work: O(N*p) steps, one set
-    of (p+1)**2 points per point.
+    p(p+1) = N-1 lines, every line but L.  Each line is held as an
+    N-bit mask of its points, so the union through a point is the OR of
+    p+1 masks, compared with the mask of all N points.  Work: O(N*p)
+    ORs of N-bit integers.
     """
     p, N = plane.order, plane.num_points
     if p < 2:
         raise ValueError(f"order {p} is below 2")
     if len(plane.lines) != N:
         raise ValueError(f"{len(plane.lines)} lines, expected {N}")
-    through: list[list[tuple[int, ...]]] = [[] for _ in range(N + 1)]
+    through: list[list[int]] = [[] for _ in range(N + 1)]
     for line in plane.lines:
         if len(line) != p + 1 or line[0] < 1 or line[-1] > N or any(
             a >= b for a, b in zip(line, line[1:])
         ):
             raise ValueError(f"line {line} is not {p + 1} increasing points in [1, {N}]")
+        mask = sum(1 << x for x in line)  # distinct points: the sum is the OR
         for x in line:
-            through[x].append(line)
+            through[x].append(mask)
+    full = (1 << (N + 1)) - 2
     for x in range(1, N + 1):
-        if len(through[x]) != p + 1 or len(set(itertools.chain(*through[x]))) != N:
+        if len(through[x]) != p + 1 or functools.reduce(operator.or_, through[x]) != full:
             raise ValueError(f"the lines through point {x} do not cover each point once")
 
 
@@ -324,20 +333,17 @@ class SteinerSystem:
         return self.v
 
     def to_json(self) -> dict:
+        """System document; `provenance[i]` lists the copies of
+        `edges[i]`, each as [line, s_1, ..., s_k]: the index of the line
+        it was placed on, then the source edge's vertices."""
         return {
             "schema": SYSTEM_SCHEMA,
             "v": self.v,
             "k": self.k,
             "edges": [list(e) for e in self.edges],
             "provenance": [
-                {
-                    "edge": list(e),
-                    "copies": [
-                        {"line": line, "source": list(src)} for line, src in sources
-                    ],
-                }
-                for e, sources in sorted(self.provenance.items())
-            ],
+                [[line, *src] for line, src in self.provenance[e]] for e in self.edges
+            ] if self.provenance else [],
         }
 
 
@@ -381,8 +387,10 @@ class MonteCarloReport:
     def found_fraction(self, flavor: str) -> float:
         return self.found[flavor] / self.trials
 
-    def to_json(self, include_timing: bool = True) -> dict:
-        out = {
+    def to_json(self) -> dict:
+        """The report document; `trial_ms` is timing, which belongs in
+        the run manifest, so it is left out."""
+        return {
             "schema": MC_SCHEMA,
             "spec": {
                 "k": self.spec.k,
@@ -396,9 +404,6 @@ class MonteCarloReport:
             },
             "failures": [dict(f) for f in self.failures],
         }
-        if include_timing:
-            out["trial_ms"] = list(self.trial_ms)
-        return out
 
 
 def ordering_as_hypergraph(system, ordering: Sequence[int]) -> OrderedHypergraph:

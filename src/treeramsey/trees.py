@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 
 class Side(enum.Enum):
@@ -126,13 +126,6 @@ def descendant_side(x: int, y: int, params: TreeParams) -> Side:
     return Side.LEFT if x < y else Side.RIGHT
 
 
-def _gca_node(x: int, y: int, params: TreeParams) -> tuple[int, int]:
-    # Internal node identity: (level, index within level), not exposed
-    # through the public shape/coloring API.
-    level = ancestor_level(x, y, params)
-    return level, (x - 1) >> (params.depth - level + 1)
-
-
 def split_parts(X: LeafSet) -> tuple[LeafSet, LeafSet]:
     """Partition X by descendant side below the ancestor of min(X), max(X)."""
     if len(X) < 2:
@@ -180,11 +173,3 @@ def projection(X: LeafSet) -> tuple[int, ...]:
     if len(X) < 2:
         raise ValueError("projection undefined below 2 leaves")
     return tuple(sorted(set(consecutive_levels(X))))
-
-
-def projection_of(elements: Sequence[int], depth: int) -> tuple[int, ...]:
-    """projection() on a raw sorted leaf sequence; hot-path variant."""
-    seen = set()
-    for a, b in zip(elements, elements[1:]):
-        seen.add(depth - ((a - 1) ^ (b - 1)).bit_length() + 1)
-    return tuple(sorted(seen))

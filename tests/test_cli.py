@@ -5,7 +5,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from treeramsey import export_coloring, write_coloring
@@ -231,6 +231,36 @@ class TestCommands:
         assert set(report["found_fraction"]) == {"G", "revG"}
         assert code in (0, 1)
         assert (code == 0) == (not report["failures"])
+        assert "trial_ms" not in report
+        trial_ms = json.loads((out / "manifest.json").read_text())["metrics"]["trial_ms"]
+        assert 0 <= trial_ms["p50"] <= trial_ms["p95"] <= trial_ms["max"]
+
+    def test_old_layout_glued_file(self, tmp_path, capsys):
+        # indent-2 files with per-edge {edge, copies} provenance, as
+        # written before provenance became int records, read the same
+        from treeramsey import assemble_h, build_blowup, build_projective_plane
+        from treeramsey.reporting import dump_json, dump_records
+
+        glued = assemble_h(build_blowup(3, 3, (1, 2), m=1), build_projective_plane(5), 2)
+        old = glued.to_json()
+        old["provenance"] = [
+            {"edge": list(e),
+             "copies": [{"line": line, "source": list(src)} for line, src in copies]}
+            for e, copies in sorted(glued.provenance.items())
+        ]
+        reports = []
+        for name, text in (("old", dump_json(old)), ("new", dump_records(glued.to_json()))):
+            path = tmp_path / f"{name}.json"
+            path.write_text(text)
+            assert run(["steiner", "check", "--file", str(path), "--ell", "2",
+                        "--out", str(tmp_path / name / "check")]) == 0
+            code = run(["mc", "run", "--system", str(path), "--k", "3", "--n", "3",
+                        "--I", "1,2", "--trials", "3", "--seed", "1",
+                        "--out", str(tmp_path / name / "mc")])
+            assert code in (0, 1)
+            reports.append([(tmp_path / name / cmd / "report.json").read_bytes()
+                            for cmd in ("check", "mc")])
+        assert reports[0] == reports[1]
 
     def test_tower_descriptor(self, tmp_path, capsys, c4_file):
         from treeramsey.reporting import dump_json
@@ -533,6 +563,77 @@ class TestReaderFuzz:
             json.dump(mutated, fh)
         code, err = _run_quietly(argv(target))
         assert code == 2, (field, kind, mutated.get(field))
+        assert json.loads(err)["error"]
+
+
+class TestColoringReaderFuzz:
+    """One header field or one row of a valid coloring file is changed;
+    the reader must refuse it with exit 2 and a JSON error, never a
+    traceback or exit 1."""
+
+    ROWS = export_coloring(c4_coloring()).splitlines()  # header + 6 rows of [4]^(2)
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("coloring") / "c.coloring"
+
+    @staticmethod
+    def verify(text, path, command="verify-clique"):
+        path.write_text(text)
+        argv = ["color", command, "--file", str(path)]
+        return _run_quietly(argv + (["--t", "3"] if command == "verify-clique" else []))
+
+    def test_valid_file_runs(self, path):
+        assert self.verify("\n".join(self.ROWS) + "\n", path)[0] == 0
+
+    @pytest.mark.parametrize(
+        "text",
+        ["coloring 0 3 binary\n0\n", "coloring 3 2 binary\n", "coloring -1 3 binary\n"],
+        ids=["r-zero", "r-above-n", "r-negative"],
+    )
+    def test_uniformity_out_of_range(self, path, text):
+        code, err = self.verify(text, path)
+        assert code == 2
+        assert "1 <= r <= N" in json.loads(err)["error"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_mutated_file_exits_two(self, path, data):
+        lines = [ln.split() for ln in self.ROWS]
+        kind = data.draw(st.sampled_from(["header", "arity", "vertex", "color", "duplicate"]))
+        row = data.draw(st.integers(1, len(lines) - 1))
+        if kind == "header":
+            pos = data.draw(st.integers(0, 3))
+            token = data.draw(
+                st.integers(-3, 10).map(str)
+                | st.sampled_from(["x", "2.0", "binary", "coloring", "z4", ""])
+            )
+            # z4 holds the binary colors, so it is the one valid palette change
+            assume(token != lines[0][pos] and not (pos == 3 and token == "z4"))
+            lines[0][pos] = token
+        elif kind == "arity":
+            if data.draw(st.booleans()):
+                del lines[row][0]
+            else:
+                lines[row].insert(0, str(data.draw(st.integers(1, 4))))
+        elif kind == "vertex":
+            pos = data.draw(st.integers(0, 1))
+            value = data.draw(st.integers(-2, 7).map(str))
+            assume(value != lines[row][pos])
+            lines[row][pos] = value
+        elif kind == "color":
+            lines[row][2] = data.draw(
+                st.integers(-3, 9).filter(lambda c: c not in (0, 1)).map(str)
+                | st.just("x")
+            )
+        else:
+            other = data.draw(st.integers(1, len(lines) - 1))
+            assume(other != row)
+            lines[row] = list(lines[other])
+        text = "\n".join(" ".join(ln) for ln in lines) + "\n"
+        command = data.draw(st.sampled_from(["verify-clique", "import"]))
+        code, err = self.verify(text, path, command)
+        assert code == 2, (kind, text)
         assert json.loads(err)["error"]
 
 

@@ -37,6 +37,15 @@ from conftest import (
 )
 
 
+def projection_of(elements, depth: int) -> tuple[int, ...]:
+    """The projection (distinct consecutive ancestor levels, ascending)
+    of a sorted leaf sequence at the given depth."""
+    seen = set()
+    for a, b in zip(elements, elements[1:]):
+        seen.add(depth - ((a - 1) ^ (b - 1)).bit_length() + 1)
+    return tuple(sorted(seen))
+
+
 def single_pair_base(color_of_12: int) -> BaseColoring:
     """Binary base on [4]^(2) with {1,2} pinned; other pairs colored 1."""
     return BaseColoring.from_function(
@@ -228,8 +237,6 @@ class TestReflection:
     @settings(max_examples=200)
     @given(st.data())
     def test_projection_preserved(self, data):
-        from treeramsey.trees import projection_of
-
         N = data.draw(st.integers(2, 12))
         size = data.draw(st.integers(2, min(2**N, 6)))
         X = sorted(data.draw(st.sets(st.integers(1, 2**N), min_size=size, max_size=size)))

@@ -4,9 +4,11 @@ import json
 import os
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from treeramsey import RunManifest, tower
-from treeramsey.reporting import check_schema, dump_json, emit_run
+from treeramsey.reporting import check_schema, dump_json, dump_records, emit_run
 
 
 class TestTower:
@@ -63,3 +65,60 @@ class TestEmission:
 
     def test_dump_is_canonical(self):
         assert dump_json({"b": 1, "a": 2}) == '{\n  "a": 2,\n  "b": 1\n}\n'
+
+
+_SCALARS = (
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4) | st.sampled_from(["], [", "]], [[", "],\n["])
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=10,
+)
+_DOCS = st.dictionaries(
+    st.text(max_size=5),
+    _VALUES | st.lists(_VALUES, max_size=6)
+    | st.lists(st.lists(st.integers(0, 9), max_size=3), max_size=6),
+    max_size=5,
+)
+
+
+def records_oracle(doc: dict) -> str:
+    """dump_records written out item by item with json.dumps."""
+    fields = []
+    for key in sorted(doc):
+        value = doc[key]
+        if isinstance(value, list) and value:
+            items = ",\n".join(json.dumps(x, sort_keys=True) for x in value)
+            fields.append(f"{json.dumps(key)}: [\n{items}\n]")
+        else:
+            fields.append(f"{json.dumps(key)}: {json.dumps(value, sort_keys=True)}")
+    return "{\n" + ",\n".join(fields) + "\n}\n"
+
+
+class TestRecords:
+    @settings(max_examples=400, deadline=None)
+    @given(_DOCS)
+    @example({"a": [["], ["], [1]], "b": [[[1], [2]], [[3]]], "c": [[], [[]]]})
+    @example({"a": [[[1, 2]], [[3], [4]]], "b": [1, [2], "], ["]})
+    def test_round_trip_one_item_per_line(self, doc):
+        text = dump_records(doc)
+        assert json.loads(text) == doc
+        assert text == records_oracle(doc)
+        lines = text.split("\n")
+        for key, value in doc.items():
+            if isinstance(value, list) and value:
+                start = lines.index(json.dumps(key) + ": [") + 1
+                block = lines[start:start + len(value) + 1]
+                assert [json.loads(ln.rstrip(",")) for ln in block[:-1]] == value
+                assert block[-1] in ("]", "],")
+
+    def test_layout(self):
+        doc = {"schema": "x/1", "edges": [[1, 2], [3, 4]], "v": 4, "empty": []}
+        assert dump_records(doc) == (
+            '{\n"edges": [\n[1, 2],\n[3, 4]\n],\n"empty": [],\n'
+            '"schema": "x/1",\n"v": 4\n}\n'
+        )

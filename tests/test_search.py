@@ -1,6 +1,7 @@
 """Search engine against a joint brute-force oracle and its invariants."""
 
 import itertools
+import json
 import math
 import random
 
@@ -384,11 +385,23 @@ class TestAvoidanceReport:
     def test_report_json_shape(self, c4_base):
         chi = build_tower(c4_base, 3).top
         report = verify_stepup_avoidance(chi, FamilySpec(3, 4, (1, 2), FLAVOR_F))
-        doc = report.to_json(include_timing=False)
+        doc = report.to_json()
         assert "elapsed_ms" not in doc
         assert doc["status"] == CLEAN
         assert len(doc["slots"]) == 4
-        assert "elapsed_ms" in report.to_json(include_timing=True)
+
+    def test_search_time_goes_to_the_manifest(self, c4_base, tmp_path, capsys):
+        from treeramsey import write_coloring
+        from treeramsey.cli import main
+
+        write_coloring(c4_base, tmp_path / "c4.coloring")
+        out = tmp_path / "run"
+        assert main(["stepup", "verify", "--base", str(tmp_path / "c4.coloring"),
+                     "--n", "4", "--I", "1,2", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["metrics"]) == {"search_ms"}
+        assert 0 <= manifest["metrics"]["search_ms"] <= manifest["elapsed_ms"]
+        assert "elapsed_ms" not in json.loads((out / "report.json").read_text())
 
 
 class TestOrderedCopy:

@@ -1,6 +1,7 @@
 """Blow-ups, planes, gluing, Steiner validation, and the ordering experiment."""
 
 import itertools
+import json
 import math
 import random
 
@@ -307,6 +308,29 @@ class TestAssembly:
                 assert tuple(sorted(source)) in set(system.iter_edges())
                 assert set(edge) <= set(plane.lines[line_id])
         assert lines_seen == set(range(len(plane.lines)))
+
+    def test_written_provenance_decodes_to_the_glued_provenance(self, tmp_path, capsys):
+        from treeramsey.cli import main
+
+        r, plane, h = (str(tmp_path / name) for name in ("r.json", "plane.json", "h.json"))
+        assert main(["steiner", "blowup", "--n", "3", "--k", "3", "--I", "1,2",
+                     "--m", "2", "--out-file", r]) == 0
+        assert main(["steiner", "plane", "--order", "17", "--out-file", plane]) == 0
+        assert main(["steiner", "assemble", "--system", r, "--plane", plane,
+                     "--seed", "5", "--out-file", h]) == 0
+        glued = assemble_h(toy_blowup(), build_projective_plane(17), seed=5)
+        with open(h, encoding="utf-8") as fh:
+            text = fh.read()
+        doc = json.loads(text)
+        assert len(doc["provenance"]) == len(doc["edges"])
+        decoded = {
+            tuple(e): tuple((c[0], tuple(c[1:])) for c in copies)
+            for e, copies in zip(doc["edges"], doc["provenance"])
+        }
+        assert decoded == glued.provenance
+        # a line per edge and per provenance record; the other nine are
+        # the braces, k, schema, v and each list's opening and closing
+        assert len(text.splitlines()) == 2 * len(glued.edges) + 9
 
     def test_plane_too_small(self):
         system = toy_blowup()

@@ -19,13 +19,18 @@ from treeramsey import (
     projection,
     split_parts,
 )
-from treeramsey.trees import _gca_node
 
 from conftest import random_left_comb, random_right_comb
 
 
 def leafset(elements, depth):
     return LeafSet.of(elements, TreeParams(depth))
+
+
+def _gca_node(x: int, y: int, params: TreeParams) -> tuple[int, int]:
+    """The ancestor of leaves x and y as (level, index within level)."""
+    level = ancestor_level(x, y, params)
+    return level, (x - 1) >> (params.depth - level + 1)
 
 
 class TestAncestorLevel:
