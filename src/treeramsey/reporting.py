@@ -43,30 +43,6 @@ def dump_json(obj: dict) -> str:
 _RECORD = json.JSONEncoder(sort_keys=True)
 
 
-def _records(items: list) -> str:
-    """The items' compact encodings, one per line, comma-separated.
-
-    The list is encoded in one pass of the C encoder when the item
-    boundaries can be found in its text.  If every item encodes as d
-    opening and d closing brackets (its first and last elements, d - 1
-    levels down, are lists), every boundary holds `]...], [...[` with d
-    brackets a side.  That string cannot overlap itself, so finding it
-    exactly len(items) - 1 times means no item holds it.  Otherwise the
-    items are encoded one by one.
-    """
-    text = _RECORD.encode(items)[1:-1]
-    heads = tails = items
-    sep = ", "
-    while {*map(type, heads), *map(type, tails)} == {list}:
-        sep = "]" + sep + "["
-        if text.count(sep) == len(items) - 1:
-            return text.replace(sep, sep.replace(" ", "\n"))
-        if not (all(heads) and all(tails)):
-            break
-        heads, tails = [h[0] for h in heads], [t[-1] for t in tails]
-    return ",\n".join(map(_RECORD.encode, items))
-
-
 def dump_records(obj: dict) -> str:
     """Data-file serialization: one top-level key per line, sorted, and
     each item of a top-level list on a line of its own, as compact JSON
@@ -76,7 +52,8 @@ def dump_records(obj: dict) -> str:
         value = obj[key]
         head = json.dumps(key) + ": "
         if isinstance(value, list) and value:
-            fields.append(head + "[\n" + _records(value) + "\n]")
+            records = ",\n".join(map(_RECORD.encode, value))
+            fields.append(head + "[\n" + records + "\n]")
         else:
             fields.append(head + _RECORD.encode(value))
     return "{\n" + ",\n".join(fields) + "\n}\n"
