@@ -26,7 +26,6 @@ from .colorings import (
     search_base_coloring,
     verify_no_mono_clique,
     write_coloring,
-    DEFAULT_TOWER_CAP,
 )
 from .families import FamilySpec, canonical_member, is_member
 from .reporting import RunManifest, check_schema, dump_json, dump_records, tower
@@ -143,31 +142,28 @@ def _cmd_color_import(args) -> int:
 def _load_tower_descriptor(path):
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    check_schema(obj, reporting.TOWER_SCHEMA, {"base", "target_k", "cap"})
+    check_schema(obj, reporting.TOWER_SCHEMA, {"base", "target_k"})
     base, target_k = obj.get("base"), obj.get("target_k")
-    cap = obj.get("cap", DEFAULT_TOWER_CAP)
     if not isinstance(base, str):
         raise ValueError(f"tower base must be a path or coloring text, got {base!r}")
     if type(target_k) is not int:
         raise ValueError(f"tower target_k must be an integer, got {target_k!r}")
-    if type(cap) is not int or cap < 1:
-        raise ValueError(f"tower cap must be a positive integer, got {cap!r}")
     if base.lstrip().startswith("coloring "):
         coloring = import_coloring(base)
     else:
         coloring = read_coloring(base)
-    return coloring, target_k, cap
+    return coloring, target_k
 
 
 def _cmd_stepup_verify(args) -> int:
     if args.tower:
-        base, target_k, cap = _load_tower_descriptor(args.tower)
+        base, target_k = _load_tower_descriptor(args.tower)
     else:
         if not args.base:
             raise ValueError("provide --base or --tower")
         base = read_coloring(args.base)
-        target_k, cap = args.k, args.cap
-    chi = build_tower(base, target_k, cap).top
+        target_k = args.k
+    chi = build_tower(base, target_k).top
     spec = FamilySpec(target_k, args.n, args.I, families.FLAVOR_F)
     budget = None
     if args.max_nodes is not None or args.max_seconds is not None:
@@ -187,7 +183,6 @@ def _cmd_stepup_verify(args) -> int:
             "k": target_k,
             "n": args.n,
             "I": list(args.I),
-            "cap": cap,
         },
         report,
         witnesses=witnesses or None,
@@ -412,18 +407,19 @@ def build_parser() -> _Parser:
         k=dict(type=int, default=3),
         n=dict(type=int, required=True),
         I=dict(type=_int_list, required=True),
-        cap=dict(type=int, default=DEFAULT_TOWER_CAP),
         max_nodes=dict(type=int, default=None),
         max_seconds=dict(type=float, default=None),
     )
 
     family = parser_sub(sub, "family")
+    # Fstar is a containment predicate: it has no members to generate or check.
+    member_flavors = [f for f in families.FLAVORS if f != families.FLAVOR_FSTAR]
     add(
         family, "gen", _cmd_family_gen,
         k=dict(type=int, required=True),
         n=dict(type=int, required=True),
         I=dict(type=_int_list, required=True),
-        flavor=dict(default=families.FLAVOR_F, choices=list(families.FLAVORS)),
+        flavor=dict(default=families.FLAVOR_F, choices=member_flavors),
         out_file=dict(required=True),
     )
     add(
@@ -432,7 +428,7 @@ def build_parser() -> _Parser:
         k=dict(type=int, required=True),
         n=dict(type=int, required=True),
         I=dict(type=_int_list, required=True),
-        flavor=dict(default=families.FLAVOR_F, choices=list(families.FLAVORS)),
+        flavor=dict(default=families.FLAVOR_F, choices=member_flavors),
     )
 
     st = parser_sub(sub, "steiner")
@@ -500,7 +496,7 @@ def main(argv=None) -> int:
     args._start = time.monotonic()
     try:
         return args.handler(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, OSError, KeyError, json.JSONDecodeError) as exc:
         sys.stderr.write(dump_json({"error": str(exc)}))
         return EXIT_USAGE
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -151,13 +152,6 @@ class SteppedColoring:
             raise ValueError(f"leaves out of range [1, {self.ground_size}]")
         return self._eval(elems)
 
-    # Declaring level_profile as the memo key promises that the color is
-    # a function of the edge's level profile.  The search relies on it to
-    # decide questions over level words without enumerating leaves
-    # (search._search_levels); the leaf engine keys its admissible-set
-    # memo on the profile of (x_1, leaves).
-    memo_key = staticmethod(level_profile)
-
     def _eval(self, elems: tuple[int, ...]) -> int:
         # Hot path: callers guarantee a sorted, in-range, duplicate-free
         # tuple of the right arity.
@@ -217,16 +211,13 @@ class ColoringTower:
         return self.levels[-1]
 
 
-DEFAULT_TOWER_CAP = 1 << 20
-
-
-def build_tower(
-    base: BaseColoring, target_k: int, cap: int = DEFAULT_TOWER_CAP
-) -> ColoringTower:
+def build_tower(base: BaseColoring, target_k: int) -> ColoringTower:
     """Stack stepped colorings of uniformity base.uniformity+1 .. target_k.
 
-    Refuses when any level's ground size (including the top) would
-    exceed cap, naming the offending level.
+    Refuses a level whose leaves cannot be written as JSON integers:
+    2**N has floor(N log10 2) + 1 decimal digits, and Python refuses to
+    convert an integer longer than sys.get_int_max_str_digits() (0 means
+    no limit).  The message names the lowest such level.
     """
     if base.uniformity < 2:
         raise ValueError("base uniformity must be >= 2")
@@ -234,14 +225,18 @@ def build_tower(
         raise ValueError(
             f"target uniformity {target_k} must exceed base uniformity {base.uniformity}"
         )
+    limit = sys.get_int_max_str_digits()
     levels = []
     current: Union[BaseColoring, SteppedColoring] = base
     for k in range(base.uniformity + 1, target_k + 1):
-        ground = 1 << current.ground_size
-        if ground > cap:
+        depth = current.ground_size
+        # floor(depth log10 2) + 1 > limit exactly when depth >= limit
+        # log2 10; an int compares with a float exactly, however large.
+        if limit and depth >= limit * math.log2(10):
             raise ValueError(
-                f"ground size 2**{current.ground_size} at uniformity {k} "
-                f"exceeds cap {cap}"
+                f"ground size 2**{depth} at uniformity {k} has more than "
+                f"{limit} decimal digits, Python's limit for integer strings "
+                f"(sys.get_int_max_str_digits; -X int_max_str_digits=0 lifts it)"
             )
         current = SteppedColoring(current)
         levels.append(current)

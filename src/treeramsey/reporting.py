@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -102,18 +103,14 @@ def emit_run(
     report: dict,
     out_dir: Optional[str],
     witnesses: Optional[dict[str, dict]] = None,
-    stream=None,
 ) -> None:
     """Write manifest.json/report.json (+ witnesses/) or one stdout document.
 
     report bytes depend only on the computation's inputs; rerunning the
     manifest's command reproduces them exactly.
     """
-    import sys
-
-    stream = stream if stream is not None else sys.stdout
     if out_dir is None:
-        stream.write(dump_json({"manifest": manifest.to_json(), "report": report}))
+        sys.stdout.write(dump_json({"manifest": manifest.to_json(), "report": report}))
         return
     os.makedirs(out_dir, exist_ok=True)
     manifest.outputs.setdefault("report", "report.json")

@@ -7,25 +7,24 @@ chain and the color are fixed the connector choices are independent
 (distinct J never constrain each other), so a search enumerates chains
 with incremental pruning and reduces each J to a nonemptiness question.
 
-There are two engines, and the evaluator's `memo_key` picks one:
+There are two engines, and the type of the coloring picks one:
 
-* Level space, for evaluators whose key is `level_profile` (stepped
-  colorings and their reflections).  The color of such an evaluator is
-  a function of the edge's level profile, and every profile the search
-  asks about is a function of the chain's level word l_1 ... l_n,
-  l_i = bl((x_{i-1}-1) ^ (x_i-1)) with bl the bit length: the level of
-  chain leaves x_i < x_j is max(l_{i+1..j}).  A word is realizable
-  exactly when every two equal letters have a larger letter between
-  them.  A connector v in [x_0, x_1] enters only through its offset
+* Level space, for a `SteppedColoring` (and its reflection, for revF).
+  Its color is a function of the edge's level profile, since comb
+  versus split, the split type and the projection all are, and every
+  profile the search asks about is a function of the chain's level
+  word l_1 ... l_n, l_i = bl((x_{i-1}-1) ^ (x_i-1)) with bl the bit
+  length: the level of chain leaves x_i < x_j is max(l_{i+1..j}).  A
+  word is realizable exactly when every two equal letters have a larger
+  letter between them.  A connector v in [x_0, x_1] enters only through its offset
   t = bl((v-1) ^ (x_1-1)), which is 0 (v = x_1), l_1 (v = x_0), or any
   b < l_1 whose bit b-1 is set in x_1-1; that bit is forced to 0 exactly
   when b is a strict left-to-right record of l_2 ... l_n.  The engine
   searches words, never leaves (see `_search_levels`).
-* Leaf space, for every other evaluator (edge-membership tests and any
-  evaluator that declares no key).  It enumerates increasing chains of
-  leaves, memoizing each J's answer on (x_0, x_1, the memo key of
-  (x_1, leaves)), the exact leaves for these evaluators (see
-  `_search_chains_ascending`).
+* Leaf space, for every other evaluator (edge-membership tests and
+  proxies of a coloring).  It enumerates increasing chains of leaves,
+  memoizing each J's answer on (x_0, x_1, leaves), which fixes the edge
+  of every candidate connector (see `_search_chains_ascending`).
 
 A reversed (revF) copy of a coloring is an F copy of the coloring with
 the leaf order reversed, so revF questions run the same engines on
@@ -42,7 +41,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .colorings import level_profile
+from .colorings import SteppedColoring
 from .families import (
     FLAVOR_F,
     FLAVOR_REVF,
@@ -148,20 +147,11 @@ class SearchOutcome:
     counters: SearchCounters
 
 
-def _exact_leaves(leaves: tuple[int, ...]) -> tuple[int, ...]:
-    return leaves
-
-
 class ReflectedColoring:
     """View of a coloring with the leaf order reversed."""
 
     def __init__(self, inner):
         self.inner = inner
-        # Both memo keys in use survive reflection: it keeps the XOR of
-        # (a-1, b-1), hence the level profile, and is a bijection on leaves.
-        # The reflected color is the inner color of the reversed profile,
-        # so it too is a function of the level profile.
-        self.memo_key = getattr(inner, "memo_key", _exact_leaves)
         self.uniformity = inner.uniformity
         self.ground_size = inner.ground_size
 
@@ -175,10 +165,7 @@ class MembershipColoring:
 
     Lets the monochromatic-copy engine double as an ordered-containment
     test: a color-0 copy is exactly an ordered subgraph embedding.
-    Membership depends on the exact leaves, so they are the memo key.
     """
-
-    memo_key = staticmethod(_exact_leaves)
 
     def __init__(self, host: OrderedHypergraph):
         self.uniformity = host.uniformity
@@ -225,7 +212,6 @@ def _search_chains_ascending(evaluator, spec_fields, color, budget):
     k, n, I = spec_fields
     M = evaluator.ground_size
     eval_edge = evaluator._eval
-    key_of = getattr(evaluator, "memo_key", _exact_leaves)
     all_connectors = connector_sets(n, k)
     connectors_by_max = _connectors_by_max(n, k)
     special_at = I[-1]
@@ -235,7 +221,7 @@ def _search_chains_ascending(evaluator, spec_fields, color, budget):
     memo: dict = {}
 
     def admissible_min(x0, x1, leaves):
-        key = (x0, x1, key_of((x1,) + leaves))
+        key = (x0, x1, leaves)
         if key in memo:
             counters.memo_hits += 1
             return memo[key]
@@ -313,7 +299,13 @@ def _realize_profile(profile: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _search_levels(evaluator, spec_fields, color, budget):
-    """Exact search over level words for a profile-keyed evaluator.
+    """Exact search over level words for a stepped coloring.
+
+    The evaluator's color must be a function of the edge's level
+    profile, as a `SteppedColoring`'s is (comb versus split, the split
+    type and the projection are all read off the level word) and so is
+    its reflection's (reflection keeps every XOR (a-1) ^ (b-1), hence
+    the profile, and reverses it).
 
     A chain is described by x_0, the bits of x_1 - 1 below l_1, and
     its word (module docstring).  The least witness, if any, starts at
@@ -474,9 +466,11 @@ def find_mono_f_copy(
     a budget, a search that neither completes nor finds a copy reports
     indeterminate.  A revF copy of chi is an F copy of the reflected
     coloring, so reversed flavors run on `ReflectedColoring(chi)` and
-    reflect the witness back.  An evaluator whose `memo_key` is
-    `level_profile` is searched in level space (`_search_levels`), any
-    other in leaf space (`_search_chains_ascending`); the two engines
+    reflect the witness back.  A `SteppedColoring` is searched in level
+    space (`_search_levels`), since its color is a function of the
+    edge's level profile and reflection keeps that true; any other
+    evaluator is searched in leaf space (`_search_chains_ascending`).
+    The engine is chosen on chi, before reflection.  The two engines
     give the same status and witness, and their counters count
     different things (see `SearchCounters`).
     """
@@ -493,11 +487,11 @@ def find_mono_f_copy(
         raise ValueError(f"mono-copy search needs flavor F or revF, got {spec.flavor}")
     spec_fields = (spec.k, spec.n, spec.I)
     reversed_flavor = spec.flavor == FLAVOR_REVF
-    evaluator = ReflectedColoring(chi) if reversed_flavor else chi
-    if getattr(evaluator, "memo_key", None) is level_profile:
+    if isinstance(chi, SteppedColoring):
         engine = _search_levels
     else:
         engine = _search_chains_ascending
+    evaluator = ReflectedColoring(chi) if reversed_flavor else chi
 
     counters = SearchCounters()
     for color in sorted(set(colors)):

@@ -5,8 +5,10 @@ answers ancestor queries by walking paths, sharing no arithmetic with
 the bitwise implementation under test.
 """
 
+import contextlib
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -53,6 +55,17 @@ class ExplicitTree:
 @pytest.fixture(scope="session")
 def oracle_trees():
     return {N: ExplicitTree(N) for N in range(1, 7)}
+
+
+@contextlib.contextmanager
+def int_max_str_digits(limit):
+    """Python's limit on integer string digits, set for the block."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def c4_coloring():

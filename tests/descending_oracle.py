@@ -21,7 +21,6 @@ from treeramsey.search import (
     MonoCopyWitness,
     SearchCounters,
     SearchOutcome,
-    _exact_leaves,
 )
 
 
@@ -32,7 +31,6 @@ def _search_chains_descending(evaluator, spec_fields, color, x0_values, budget):
     k, n, I = spec_fields
     M = evaluator.ground_size
     eval_edge = evaluator._eval
-    key_of = getattr(evaluator, "memo_key", _exact_leaves)
     import itertools
 
     connectors_by_max: dict[int, list[tuple[int, ...]]] = {}
@@ -61,7 +59,7 @@ def _search_chains_descending(evaluator, spec_fields, color, x0_values, budget):
 
     def admissible_max(x0, x1, leaves):
         # leaves holds (x_{j_1}, x_{j_2}, ...) in role order, values falling.
-        key = (x0, x1, key_of((x1,) + leaves))
+        key = (x0, x1, leaves)
         if key in memo:
             counters.memo_hits += 1
             return memo[key]

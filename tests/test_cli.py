@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 from treeramsey import export_coloring, write_coloring
 from treeramsey.cli import main
 
-from conftest import all_zero_coloring, c4_coloring
+from conftest import (
+    all_zero_coloring,
+    c4_coloring,
+    int_max_str_digits,
+    pentagon_coloring,
+)
 
 
 @pytest.fixture
@@ -48,11 +53,20 @@ class TestExitCodes:
         doc = json.loads(capsys.readouterr().out)
         assert doc["report"]["witness"]["clique"] == [1, 2, 3]
 
-    def test_usage_error_is_two_with_json_stderr(self, capsys):
-        code = run(["stepup", "verify", "--n", "4"])  # missing --I
-        assert code == 2
-        err = capsys.readouterr().err
-        assert json.loads(err)["error"]
+    def test_usage_error_is_two_with_json_stderr(self, tmp_path, capsys):
+        member = ["--k", "3", "--n", "4", "--I", "1,2", "--flavor", "Fstar"]
+        for argv in (
+            ["stepup", "verify", "--n", "4"],  # missing --I
+            # Fstar is a containment predicate, not a member flavor
+            ["family", "gen", *member, "--out-file", str(tmp_path / "m.json")],
+            ["family", "check", "--file", str(tmp_path / "m.json"), *member],
+        ):
+            code = run(argv)
+            assert code == 2
+            doc = json.loads(capsys.readouterr().err)
+            assert doc["error"]
+            if "Fstar" in argv:
+                assert "'F', 'revF', 'G', 'revG'" in doc["error"]
 
     def test_input_error_is_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.coloring"
@@ -130,6 +144,41 @@ class TestFrontier:
             ("revF", 2): (65536, 65534, 65533, 65532, 65280),
             ("revF", 3): (65536, 65535, 65534, 65532, 65520),
         }
+
+    def test_pentagon_k4_tower_completes(self, tmp_path, capsys):
+        # 2**32 leaves, none of them held: every slot ends in a witness
+        # after a few dozen letters.
+        base = tmp_path / "pentagon.coloring"
+        write_coloring(pentagon_coloring(), base)
+        out = tmp_path / "run"
+        code = run(
+            ["stepup", "verify", "--base", str(base), "--k", "4", "--n", "4",
+             "--I", "1,2,3", "--out", str(out)]
+        )
+        assert code == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report["ground_size"] == 1 << 32
+        assert [s["status"] for s in report["slots"]] == ["witness"] * 4
+        assert len(list((out / "witnesses").iterdir())) == 4
+
+    def test_tower_past_python_ints_exits_two(self, c4_file, capsys):
+        # With no digit limit the k=6 tower over C4 is built, but its
+        # 2**(2**65536) leaves cannot be held as Python integers.
+        with int_max_str_digits(0):
+            code = run(
+                ["stepup", "verify", "--base", c4_file, "--k", "6", "--n", "6",
+                 "--I", "1,2,3,4,5"]
+            )
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"]
+
+    def test_cap_flag_is_gone(self, c4_file, capsys):
+        code = run(
+            ["stepup", "verify", "--base", c4_file, "--k", "3", "--n", "4",
+             "--I", "1,2", "--cap", "1048576"]
+        )
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"]
 
     def test_workers_flag_is_gone(self, c4_file, capsys):
         code = run(
@@ -268,8 +317,7 @@ class TestCommands:
         descriptor = tmp_path / "tower.json"
         descriptor.write_text(
             dump_json(
-                {"schema": "treeramsey/tower/1", "base": c4_file,
-                 "target_k": 3, "cap": 1 << 20}
+                {"schema": "treeramsey/tower/1", "base": c4_file, "target_k": 3}
             )
         )
         assert run(
@@ -291,9 +339,9 @@ class TestCommands:
     @pytest.mark.parametrize(
         "field,value",
         [("target_k", "x"), ("target_k", 3.5), ("target_k", None), ("target_k", [4]),
-         ("cap", "big"), ("cap", 0), ("base", 5)],
+         ("cap", 1 << 20), ("base", 5)],
         ids=["string-target", "float-target", "null-target", "list-target",
-             "string-cap", "zero-cap", "number-base"],
+             "unknown-cap", "number-base"],
     )
     def test_bad_tower_descriptor(self, tmp_path, capsys, c4_file, field, value):
         from treeramsey.reporting import dump_json
@@ -513,9 +561,8 @@ def reader_cases(tmp_path_factory):
                           "--plane", path, "--out-file", str(d / "h.json")],
         ),
         "tower": (
-            {"schema": "treeramsey/tower/1", "base": str(c4_path), "target_k": 3,
-             "cap": 1 << 20},
-            {"cap"},
+            {"schema": "treeramsey/tower/1", "base": str(c4_path), "target_k": 3},
+            set(),
             lambda path: ["stepup", "verify", "--tower", path, "--n", "4", "--I", "1,2"],
         ),
     }

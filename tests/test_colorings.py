@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,7 @@ from treeramsey.search import ReflectedColoring
 from conftest import (
     all_zero_coloring,
     c4_coloring,
+    int_max_str_digits,
     random_left_comb,
     random_right_comb,
 )
@@ -289,10 +291,26 @@ class TestTower:
         tower4 = build_tower(base, 4)
         assert [lvl.ground_size for lvl in tower4.levels] == [16, 65536]
 
-    def test_cap_refusal_names_level(self):
-        base = c4_coloring()
-        with pytest.raises(ValueError, match="uniformity 4"):
-            build_tower(base, 4, cap=2**10)
+    def test_digit_limit_refusal_names_level(self):
+        # 2**65536 has 19,729 decimal digits, too many for a JSON integer
+        # under Python's default limit on integer strings.
+        with int_max_str_digits(sys.int_info.default_max_str_digits):
+            with pytest.raises(ValueError, match=r"2\*\*65536 at uniformity 5"):
+                build_tower(c4_coloring(), 5)
+
+    def test_refusal_never_converts_the_depth(self):
+        # The uniformity-5 level over 10 points has depth 2**1024, past
+        # the float range, and is refused all the same.
+        with int_max_str_digits(sys.int_info.default_max_str_digits):
+            assert build_tower(all_zero_coloring(10), 4).top.depth == 1024
+            with pytest.raises(ValueError, match="uniformity 5"):
+                build_tower(all_zero_coloring(10), 5)
+
+    def test_no_digit_limit_builds_any_tower(self):
+        with int_max_str_digits(0):
+            top = build_tower(c4_coloring(), 5).top
+        assert top.depth == 1 << 16
+        assert top.ground_size.bit_length() == (1 << 16) + 1
 
     def test_small_base_tower(self):
         base = BaseColoring.from_function(2, 3, BINARY, lambda s: 0)

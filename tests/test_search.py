@@ -83,7 +83,7 @@ def joint_oracle(chi, spec, colors):
 
 def leaf_engine(chi, spec, colors, budget=None):
     """`find_mono_f_copy` with the leaf-space engine in place of the
-    level-space one, whatever the coloring's memo key."""
+    level-space one, whatever the coloring's type."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(
             search_module, "_search_levels", search_module._search_chains_ascending
@@ -317,6 +317,27 @@ class TestLevelSpaceMatchesLeafEngine:
                         want = leaf_engine(chi, spec, {color})
                         assert (got.status, got.witness) == (want.status, want.witness)
 
+    def test_proxy_of_a_tower_matches_the_tower(self):
+        # The shape of a timing wrapper: not a SteppedColoring, so it is
+        # searched in leaf space, and must answer as the tower does.
+        chi = build_tower(c4_coloring(), 3).top
+
+        class Proxy:
+            uniformity, ground_size = chi.uniformity, chi.ground_size
+            _eval = staticmethod(chi._eval)
+
+        witnesses = 0
+        for n in (3, 4):
+            for flavor in (FLAVOR_F, FLAVOR_REVF):
+                spec = FamilySpec(3, n, (1, 2), flavor)
+                for color in range(4):
+                    got = find_mono_f_copy(Proxy(), spec, {color})
+                    want = find_mono_f_copy(chi, spec, {color})
+                    assert (got.status, got.witness) == (want.status, want.witness)
+                    assert got.counters != want.counters  # two engines ran
+                    witnesses += got.witness is not None
+        assert witnesses
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.integers(min_value=0, max_value=2**32),
@@ -477,16 +498,20 @@ class TestContainment:
         assert not contains_family_member(host, spec)
         assert not contains_by_enumeration(host, spec)
 
-    def test_evaluator_without_memo_key_is_keyed_on_leaves(self):
+    def test_non_stepped_evaluator_is_searched_in_leaf_space(self, monkeypatch):
         host = OrderedHypergraph(6, ((1, 2, 4), (1, 5, 6), (2, 4, 5)))
         membership = MembershipColoring(host)
 
-        class Undeclared:
+        class Proxy:
             uniformity, ground_size = membership.uniformity, membership.ground_size
             _eval = staticmethod(membership._eval)
 
+        def refuse(*args):
+            raise AssertionError("level space searched a non-stepped evaluator")
+
+        monkeypatch.setattr(search_module, "_search_levels", refuse)
         spec = FamilySpec(3, 4, (1, 2), FLAVOR_F)
-        assert find_mono_f_copy(Undeclared(), spec, {0}).status == CLEAN
+        assert find_mono_f_copy(Proxy(), spec, {0}).status == CLEAN
 
     @settings(max_examples=150, deadline=None)
     @given(small_hosts(), st.sampled_from((3, 4, 5)))
