@@ -339,9 +339,10 @@ class TestCommands:
     @pytest.mark.parametrize(
         "field,value",
         [("target_k", "x"), ("target_k", 3.5), ("target_k", None), ("target_k", [4]),
-         ("cap", 1 << 20), ("base", 5)],
+         # cap is no longer a descriptor field: any value is refused as unknown
+         ("cap", "big"), ("cap", 0), ("base", 5)],
         ids=["string-target", "float-target", "null-target", "list-target",
-             "unknown-cap", "number-base"],
+             "string-cap", "zero-cap", "number-base"],
     )
     def test_bad_tower_descriptor(self, tmp_path, capsys, c4_file, field, value):
         from treeramsey.reporting import dump_json
