@@ -34,7 +34,6 @@ from .colorings import (
 )
 from .families import (
     FLAVOR_F,
-    FLAVOR_FSTAR,
     FLAVOR_G,
     FLAVOR_REVF,
     FLAVOR_REVG,

@@ -354,7 +354,11 @@ def _nearest_rank(ordered: list[float], q: float) -> float:
 
 def _cmd_bound_tower(args) -> int:
     value = tower(args.i, args.x)
-    report = {"schema": "treeramsey/tower-value/1", "i": args.i, "x": args.x, "value": str(value)}
+    try:
+        value = str(value)
+    except ValueError:  # more decimal digits than sys.get_int_max_str_digits()
+        value = f"t_{args.i}({args.x})"
+    report = {"schema": "treeramsey/tower-value/1", "i": args.i, "x": args.x, "value": value}
     _emit(args, "bound tower", {"i": args.i, "x": args.x}, report)
     return EXIT_OK
 
@@ -412,14 +416,12 @@ def build_parser() -> _Parser:
     )
 
     family = parser_sub(sub, "family")
-    # Fstar is a containment predicate: it has no members to generate or check.
-    member_flavors = [f for f in families.FLAVORS if f != families.FLAVOR_FSTAR]
     add(
         family, "gen", _cmd_family_gen,
         k=dict(type=int, required=True),
         n=dict(type=int, required=True),
         I=dict(type=_int_list, required=True),
-        flavor=dict(default=families.FLAVOR_F, choices=member_flavors),
+        flavor=dict(default=families.FLAVOR_F, choices=families.FLAVORS),
         out_file=dict(required=True),
     )
     add(
@@ -428,7 +430,7 @@ def build_parser() -> _Parser:
         k=dict(type=int, required=True),
         n=dict(type=int, required=True),
         I=dict(type=_int_list, required=True),
-        flavor=dict(default=families.FLAVOR_F, choices=member_flavors),
+        flavor=dict(default=families.FLAVOR_F, choices=families.FLAVORS),
     )
 
     st = parser_sub(sub, "steiner")

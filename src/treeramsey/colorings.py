@@ -106,8 +106,8 @@ class SteppedColoring:
     # Colors by level profile (see level_profile).  Comb versus split,
     # the split type and the projection are all functions of the level
     # word, so it determines the color.
-    # Filled lazily by _eval; left out of equality, hashing and repr so
-    # a warmed coloring is indistinguishable from a fresh one.
+    # Filled lazily by _color_of_profile; left out of equality, hashing
+    # and repr so a warmed coloring is indistinguishable from a fresh one.
     _table: dict[tuple[int, ...], int] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -155,13 +155,14 @@ class SteppedColoring:
     def _eval(self, elems: tuple[int, ...]) -> int:
         # Hot path: callers guarantee a sorted, in-range, duplicate-free
         # tuple of the right arity.
-        profile = level_profile(elems)
-        color = self._table.get(profile)
-        if color is None:
-            color = self._table[profile] = self._color_of_profile(profile)
-        return color
+        return self._color_of_profile(level_profile(elems))
 
     def _color_of_profile(self, profile: tuple[int, ...]) -> int:
+        """Color of every leaf set with this level profile, read from the
+        table or computed once by the stepping-up rules and stored."""
+        color = self._table.get(profile)
+        if color is not None:
+            return color
         depth = self.inner.ground_size
         levels = [depth - p + 1 for p in profile]
         k = len(levels) + 1
@@ -177,16 +178,16 @@ class SteppedColoring:
                 if isinstance(inner, BaseColoring)
                 else inner._eval(proj)
             )
-            if k == 3:
-                return c if decreasing else 3 - c
-            return 3 - c if decreasing else c
-        # Non-comb: the minimum consecutive level is attained exactly once
-        # and marks the boundary between left and right descendants.
-        left = levels.index(min(levels)) + 1
-        right = k - left
-        if left >= 2 and right >= 2:
-            return 0
-        return 1 if right == 1 else 2
+            # k = 3 gives a left (decreasing) comb c; k >= 4 swaps
+            color = c if decreasing == (k == 3) else 3 - c
+        else:
+            # Non-comb: the minimum consecutive level is attained exactly
+            # once and marks the boundary between left and right
+            # descendants; a (k-1, 1) split is 1, (1, k-1) is 2, else 0.
+            left = levels.index(min(levels)) + 1
+            color = 1 if left == k - 1 else 2 if left == 1 else 0
+        self._table[profile] = color
+        return color
 
 
 def reflect_leaf(x: int, params: TreeParams) -> int:

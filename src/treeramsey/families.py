@@ -10,7 +10,9 @@ with x_I = x_0.  Flavors:
   F     connectors may coincide with each other and with x_0/x_1
   G     connectors all distinct and strictly between x_I and x_1
   revF / revG   the same graphs under the reversed vertex order
-  Fstar      predicate: contains both an F member and a revF member
+
+Containing both an F member and a revF member is the predicate
+`contains_fstar`, not a flavor.
 
 Members are represented as ordered hypergraphs whose vertices are their
 positions 1..v under the total order, with role labels attached.
@@ -28,12 +30,11 @@ from .reporting import check_schema, dump_records
 
 FLAVOR_F = "F"
 FLAVOR_REVF = "revF"
-FLAVOR_FSTAR = "Fstar"
 FLAVOR_G = "G"
 FLAVOR_REVG = "revG"
 
-FLAVORS = (FLAVOR_F, FLAVOR_REVF, FLAVOR_FSTAR, FLAVOR_G, FLAVOR_REVG)
-_ANCHORED_FLAVORS = (FLAVOR_F, FLAVOR_REVF, FLAVOR_FSTAR)
+FLAVORS = (FLAVOR_F, FLAVOR_REVF, FLAVOR_G, FLAVOR_REVG)
+_ANCHORED_FLAVORS = (FLAVOR_F, FLAVOR_REVF)
 
 HYPERGRAPH_SCHEMA = "treeramsey/hypergraph/1"
 
@@ -229,8 +230,6 @@ def canonical_member(spec: FamilySpec) -> OrderedHypergraph:
     between the anchor and x_1, then x_1 < ... < x_n.  For F flavors the
     anchor carries both the x0 and xI roles; for G flavors it is xI.
     """
-    if spec.flavor == FLAVOR_FSTAR:
-        raise ValueError("Fstar is a containment predicate with no canonical member")
     connectors = spec.connectors
     q = len(connectors)
     labels: dict[str, int] = {}
@@ -264,8 +263,6 @@ def is_member(H: OrderedHypergraph, spec: FamilySpec) -> bool:
     or x_1; G flavors demand distinct connectors strictly inside the
     open interval.  The edge set must match the role structure exactly.
     """
-    if spec.flavor == FLAVOR_FSTAR:
-        raise ValueError("Fstar is a containment predicate; use contains_fstar")
     if spec.reversed_order:
         return is_member(reverse(H), spec.with_flavor(
             FLAVOR_F if spec.flavor == FLAVOR_REVF else FLAVOR_G

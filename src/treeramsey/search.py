@@ -9,26 +9,31 @@ with incremental pruning and reduces each J to a nonemptiness question.
 
 There are two engines, and the type of the coloring picks one:
 
-* Level space, for a `SteppedColoring` (and its reflection, for revF).
-  Its color is a function of the edge's level profile, since comb
-  versus split, the split type and the projection all are, and every
-  profile the search asks about is a function of the chain's level
-  word l_1 ... l_n, l_i = bl((x_{i-1}-1) ^ (x_i-1)) with bl the bit
-  length: the level of chain leaves x_i < x_j is max(l_{i+1..j}).  A
-  word is realizable exactly when every two equal letters have a larger
-  letter between them.  A connector v in [x_0, x_1] enters only through its offset
-  t = bl((v-1) ^ (x_1-1)), which is 0 (v = x_1), l_1 (v = x_0), or any
-  b < l_1 whose bit b-1 is set in x_1-1; that bit is forced to 0 exactly
-  when b is a strict left-to-right record of l_2 ... l_n.  The engine
-  searches words, never leaves (see `_search_levels`).
+* Level space, for a `SteppedColoring`.  Its color is a function of the
+  edge's level profile, since comb versus split, the split type and the
+  projection all are, so the engine asks the coloring's profile table
+  directly.  Every profile the search asks about is a function of the
+  chain's level word l_1 ... l_n, l_i = bl((x_{i-1}-1) ^ (x_i-1)) with
+  bl the bit length: the level of chain leaves x_i < x_j is
+  max(l_{i+1..j}).  A word is realizable exactly when every two equal
+  letters have a larger letter between them.  A connector v in
+  [x_0, x_1] enters only through its offset t = bl((v-1) ^ (x_1-1)),
+  which is 0 (v = x_1), l_1 (v = x_0), or any b < l_1 whose bit b-1 is
+  set in x_1-1; that bit is forced to 0 exactly when b is a strict
+  left-to-right record of l_2 ... l_n.  The engine searches words,
+  never leaves, and never asks the leaf query `_eval` (see
+  `_search_levels`).
 * Leaf space, for every other evaluator (edge-membership tests and
   proxies of a coloring).  It enumerates increasing chains of leaves,
   memoizing each J's answer on (x_0, x_1, leaves), which fixes the edge
   of every candidate connector (see `_search_chains_ascending`).
 
 A reversed (revF) copy of a coloring is an F copy of the coloring with
-the leaf order reversed, so revF questions run the same engines on
-`ReflectedColoring` and reflect the witness back.
+the leaf order reversed, so revF questions run the same engines and
+reflect the witness back.  Reflection (x -> 2**N + 1 - x) keeps every
+XOR (a-1) ^ (b-1) and reverses the leaf order, so in level space it
+reverses the profile: a revF search colors `profile[::-1]`.  Leaf space
+runs on `ReflectedColoring`.
 
 Witness tie-breaking is lexicographic in (color, chain, connector
 assignment in colex-J order); reversed-flavor witnesses compare through
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 from .colorings import SteppedColoring
@@ -67,8 +73,8 @@ class SearchCounters:
     connector answers read from the memo.  Level space: `nodes` counts
     realizable letters tried over all oracle calls of the search,
     `prunes` letters rejected by a color check, `chi_evals` level
-    profiles colored through the evaluator, `memo_hits` profile colors
-    read from the search's profile cache, and `admissible_computed` the
+    profiles colored through the coloring's table, `memo_hits` profile
+    colors read from the search's profile cache, and `admissible_computed` the
     sets of admissible connector offsets computed.
     """
 
@@ -148,7 +154,7 @@ class SearchOutcome:
 
 
 class ReflectedColoring:
-    """View of a coloring with the leaf order reversed."""
+    """View of a leaf-space evaluator with the leaf order reversed."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -285,27 +291,14 @@ def _search_chains_ascending(evaluator, spec_fields, color, budget):
     return SearchOutcome(CLEAN, None, counters)
 
 
-def _realize_profile(profile: tuple[int, ...]) -> tuple[int, ...]:
-    """Canonical leaves with the given level profile.
+def _search_levels(N, profile_color, spec_fields, color, budget):
+    """Exact search over level words for a stepped coloring of depth N.
 
-    Starts at leaf 1 and, for each entry p, sets bit p-1 of x-1 and
-    clears the bits below it; the profile must be realizable.
-    """
-    u, leaves = 0, [1]
-    for p in profile:
-        u = (u >> p << p) | 1 << (p - 1)
-        leaves.append(u + 1)
-    return tuple(leaves)
-
-
-def _search_levels(evaluator, spec_fields, color, budget):
-    """Exact search over level words for a stepped coloring.
-
-    The evaluator's color must be a function of the edge's level
-    profile, as a `SteppedColoring`'s is (comb versus split, the split
-    type and the projection are all read off the level word) and so is
-    its reflection's (reflection keeps every XOR (a-1) ^ (b-1), hence
-    the profile, and reverses it).
+    `profile_color` maps an edge's level profile to its color: a
+    `SteppedColoring`'s `_color_of_profile` (comb versus split, the
+    split type and the projection are all read off the level word), or
+    for revF that method on the reversed profile, since reflection keeps
+    every XOR (a-1) ^ (b-1) and reverses their order.
 
     A chain is described by x_0, the bits of x_1 - 1 below l_1, and
     its word (module docstring).  The least witness, if any, starts at
@@ -320,13 +313,11 @@ def _search_levels(evaluator, spec_fields, color, budget):
     which is also the most permissive choice, so the oracle's first word
     in increasing letter order gives the least chain.  Each connector
     takes its largest admissible offset t, hence its least leaf
-    v = ((x_1 - 1) >> t << t) + 1.  Edge colors come from the
-    evaluator's `_eval` on `_realize_profile` leaves, cached per profile
-    for the search.
+    v = ((x_1 - 1) >> t << t) + 1.  Edge colors come from
+    `profile_color`, cached per profile for the search; no leaf is
+    built to ask them.
     """
     k, n, I = spec_fields
-    N = evaluator.ground_size.bit_length() - 1
-    eval_edge = evaluator._eval
     connectors_by_max = _connectors_by_max(n, k)
     cuts = (0,) + I
     special_at = I[-1]
@@ -340,7 +331,7 @@ def _search_levels(evaluator, spec_fields, color, budget):
         c = colors.get(profile)
         if c is None:
             counters.chi_evals += 1
-            c = colors[profile] = eval_edge(_realize_profile(profile))
+            c = colors[profile] = profile_color(profile)
         else:
             counters.memo_hits += 1
         return c
@@ -465,14 +456,15 @@ def find_mono_f_copy(
     is the least one under (color, chain, connector assignment).  With
     a budget, a search that neither completes nor finds a copy reports
     indeterminate.  A revF copy of chi is an F copy of the reflected
-    coloring, so reversed flavors run on `ReflectedColoring(chi)` and
-    reflect the witness back.  A `SteppedColoring` is searched in level
-    space (`_search_levels`), since its color is a function of the
-    edge's level profile and reflection keeps that true; any other
-    evaluator is searched in leaf space (`_search_chains_ascending`).
-    The engine is chosen on chi, before reflection.  The two engines
-    give the same status and witness, and their counters count
-    different things (see `SearchCounters`).
+    coloring, so reversed flavors search that and reflect the witness
+    back.  A `SteppedColoring` is searched in level space
+    (`_search_levels`) through its profile table, since its color is a
+    function of the edge's level profile; reflection reverses that
+    profile, so a revF slot colors `profile[::-1]`.  Any other evaluator
+    is searched in leaf space (`_search_chains_ascending`), reflected
+    by `ReflectedColoring` for revF.  The two engines give the same
+    status and witness, and their counters count different things (see
+    `SearchCounters`).
     """
     if spec.k != chi.uniformity:
         raise ValueError(
@@ -488,14 +480,19 @@ def find_mono_f_copy(
     spec_fields = (spec.k, spec.n, spec.I)
     reversed_flavor = spec.flavor == FLAVOR_REVF
     if isinstance(chi, SteppedColoring):
-        engine = _search_levels
+        if reversed_flavor:
+            def profile_color(profile):
+                return chi._color_of_profile(profile[::-1])
+        else:
+            profile_color = chi._color_of_profile
+        engine = partial(_search_levels, chi.depth, profile_color)
     else:
-        engine = _search_chains_ascending
-    evaluator = ReflectedColoring(chi) if reversed_flavor else chi
+        evaluator = ReflectedColoring(chi) if reversed_flavor else chi
+        engine = partial(_search_chains_ascending, evaluator)
 
     counters = SearchCounters()
     for color in sorted(set(colors)):
-        outcome = engine(evaluator, spec_fields, color, budget)
+        outcome = engine(spec_fields, color, budget)
         counters = counters.merged(outcome.counters)
         if outcome.status != CLEAN:
             witness = outcome.witness

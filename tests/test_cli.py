@@ -161,6 +161,24 @@ class TestFrontier:
         assert [s["status"] for s in report["slots"]] == ["witness"] * 4
         assert len(list((out / "witnesses").iterdir())) == 4
 
+    def test_c4_k5_tower_completes(self, c4_file, tmp_path, capsys):
+        # 2**65536 leaves, whose decimals need the digit limit lifted.
+        # The two slow slots reject almost every letter of [1..65536] at
+        # one position, one profile color each.
+        out = tmp_path / "run"
+        with int_max_str_digits(0):
+            code = run(
+                ["stepup", "verify", "--base", c4_file, "--k", "5", "--n", "5",
+                 "--I", "1,2,3,4", "--out", str(out)]
+            )
+            report = json.loads((out / "report.json").read_text())
+        assert code == 1
+        assert [s["status"] for s in report["slots"]] == ["witness"] * 4
+        assert len(list((out / "witnesses").iterdir())) == 4
+        counters = [s["counters"] for s in report["slots"]]
+        assert [c["nodes"] for c in counters] == [65_540, 7, 7, 65_558]
+        assert [c["chi_evals"] for c in counters] == [65_536, 4, 4, 65_554]
+
     def test_tower_past_python_ints_exits_two(self, c4_file, capsys):
         # With no digit limit the k=6 tower over C4 is built, but its
         # 2**(2**65536) leaves cannot be held as Python integers.
@@ -198,6 +216,16 @@ class TestCommands:
     def test_bound_tower_symbolic(self, capsys):
         assert run(["bound", "tower", "--i", "5", "--x", "2"]) == 0
         assert json.loads(capsys.readouterr().out)["report"]["value"] == "t_5(2)"
+
+    def test_bound_tower_past_the_digit_limit(self, capsys):
+        # t_4(2) = 2**65536 has 19,729 decimal digits: symbolic at the
+        # default limit of 4,300, exact once the limit is lifted.
+        assert run(["bound", "tower", "--i", "4", "--x", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["report"]["value"] == "t_4(2)"
+        with int_max_str_digits(0):
+            assert run(["bound", "tower", "--i", "4", "--x", "2"]) == 0
+            value = json.loads(capsys.readouterr().out)["report"]["value"]
+            assert value == str(1 << 65536)
 
     def test_tree_classify(self, capsys):
         assert run(["tree", "classify", "--depth", "3", "--leaves", "1,3,4,8"]) == 0

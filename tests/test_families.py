@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from treeramsey import (
     FLAVOR_F,
-    FLAVOR_FSTAR,
     FLAVOR_G,
     FLAVOR_REVF,
     FLAVOR_REVG,
@@ -124,6 +123,11 @@ class TestFamilySpec:
         with pytest.raises(ValueError, match="n >= k"):
             FamilySpec(4, 3, (1, 2, 3), FLAVOR_G)
 
+    def test_fstar_is_not_a_flavor(self):
+        # F* is the predicate contains_fstar, not a family of members
+        with pytest.raises(ValueError, match="unknown flavor 'Fstar'"):
+            FamilySpec(3, 4, (1, 2), "Fstar")
+
 
 class TestCanonicalMember:
     def test_counts_example_g(self):
@@ -167,10 +171,6 @@ class TestCanonicalMember:
         labels[role_distinguished(0)] = labels[ROLE_SPECIAL]
         as_f = OrderedHypergraph(g_member.v, g_member.edges, labels)
         assert is_member(as_f, FamilySpec(3, 4, (1, 2), FLAVOR_F))
-
-    def test_fstar_has_no_canonical_member(self):
-        with pytest.raises(ValueError, match="no canonical member"):
-            canonical_member(FamilySpec(3, 4, (1, 2), FLAVOR_FSTAR))
 
 
 class TestIsMember:
@@ -288,14 +288,14 @@ class TestBlueprints:
 
 class TestFstar:
     def test_complete_graph_contains_both(self):
-        spec = spec334(FLAVOR_FSTAR)
+        spec = spec334(FLAVOR_F)
         v = 6
         edges = tuple(itertools.combinations(range(1, v + 1), 3))
         host = OrderedHypergraph(v, edges)
         assert contains_fstar(host, spec)
 
     def test_too_small_host(self):
-        spec = spec334(FLAVOR_FSTAR)
+        spec = spec334(FLAVOR_F)
         host = OrderedHypergraph(3, ((1, 2, 3),))
         assert not contains_fstar(host, spec)
 

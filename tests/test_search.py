@@ -81,14 +81,19 @@ def joint_oracle(chi, spec, colors):
     return CLEAN, None
 
 
+class LeafProxy:
+    """A coloring seen only through its leaf query `_eval`.  It is not a
+    `SteppedColoring`, so `find_mono_f_copy` searches it in leaf space."""
+
+    def __init__(self, chi):
+        self.uniformity = chi.uniformity
+        self.ground_size = chi.ground_size
+        self._eval = chi._eval
+
+
 def leaf_engine(chi, spec, colors, budget=None):
-    """`find_mono_f_copy` with the leaf-space engine in place of the
-    level-space one, whatever the coloring's type."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(
-            search_module, "_search_levels", search_module._search_chains_ascending
-        )
-        return find_mono_f_copy(chi, spec, colors, budget)
+    """`find_mono_f_copy` run in leaf space, whatever the coloring's type."""
+    return find_mono_f_copy(LeafProxy(chi), spec, colors, budget)
 
 
 def recheck_edge_color(base, edge, depth):
@@ -321,22 +326,49 @@ class TestLevelSpaceMatchesLeafEngine:
         # The shape of a timing wrapper: not a SteppedColoring, so it is
         # searched in leaf space, and must answer as the tower does.
         chi = build_tower(c4_coloring(), 3).top
-
-        class Proxy:
-            uniformity, ground_size = chi.uniformity, chi.ground_size
-            _eval = staticmethod(chi._eval)
-
         witnesses = 0
         for n in (3, 4):
             for flavor in (FLAVOR_F, FLAVOR_REVF):
                 spec = FamilySpec(3, n, (1, 2), flavor)
                 for color in range(4):
-                    got = find_mono_f_copy(Proxy(), spec, {color})
+                    got = find_mono_f_copy(LeafProxy(chi), spec, {color})
                     want = find_mono_f_copy(chi, spec, {color})
                     assert (got.status, got.witness) == (want.status, want.witness)
                     assert got.counters != want.counters  # two engines ran
                     witnesses += got.witness is not None
         assert witnesses
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_level_space_asks_no_leaf_question(self, k, monkeypatch):
+        # The searched coloring is asked only through its profile table;
+        # inner levels may still color their projections through _eval.
+        # The oracle runs on a tower of its own, so its queries are not
+        # counted; at k=4 it decides F/0 (after 65,538 leaves) and revF/3
+        # within its budget.
+        chi = build_tower(c4_coloring(), k).top
+        oracle = build_tower(c4_coloring(), k).top
+        leaf_queries = 0
+        eval_leaves = SteppedColoring._eval
+
+        def spy(self, elems):
+            nonlocal leaf_queries
+            leaf_queries += self is chi
+            return eval_leaves(self, elems)
+
+        monkeypatch.setattr(SteppedColoring, "_eval", spy)
+        spec = FamilySpec(k, 4, tuple(range(1, k)), FLAVOR_F)
+        decided = 0
+        for flavor in (FLAVOR_F, FLAVOR_REVF):
+            for color in range(4):
+                s = spec.with_flavor(flavor)
+                got = find_mono_f_copy(chi, s, {color})
+                assert got.status != INDETERMINATE
+                want = leaf_engine(oracle, s, {color}, SearchBudget(100_000))
+                if want.status != INDETERMINATE:
+                    assert (got.status, got.witness) == (want.status, want.witness)
+                    decided += 1
+        assert leaf_queries == 0
+        assert decided >= (8 if k == 3 else 2)
 
     @settings(max_examples=60, deadline=None)
     @given(
