@@ -47,7 +47,8 @@ def level_profile(elems: Sequence[int]) -> tuple[int, ...]:
     Each entry is depth + 1 minus that pair's ancestor level, so the
     profile is the level word of the leaf set.  Reflecting every leaf
     (x -> 2**N + 1 - x) complements a-1 and b-1 in N bits and leaves
-    their XOR, hence the profile, unchanged.
+    their XOR unchanged; it also reverses the leaf order, so the
+    reflected set's profile is this one reversed.
     """
     return tuple([((a - 1) ^ (b - 1)).bit_length() for a, b in zip(elems, elems[1:])])
 
