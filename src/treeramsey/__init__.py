@@ -6,12 +6,10 @@ from .trees import (
     LeafSet,
     Shape,
     ShapeKind,
-    Side,
     TreeParams,
     ancestor_level,
     classify,
     consecutive_levels,
-    descendant_side,
     projection,
     split_parts,
 )
@@ -26,7 +24,6 @@ from .colorings import (
     export_coloring,
     import_coloring,
     read_coloring,
-    reflect_leaf,
     reflect_set,
     search_base_coloring,
     verify_no_mono_clique,
@@ -42,7 +39,6 @@ from .families import (
     OrderedHypergraph,
     canonical_member,
     canonical_separated,
-    contains_fstar,
     enumerate_blueprints,
     is_member,
     is_separated,

@@ -50,14 +50,23 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _emit(
-    args, command: str, params: dict, report: dict, witnesses=None, seeds=None, metrics=None
-):
+# Parsed attributes that are not options of the run itself.
+_NOT_PARAMS = {"group", "command", "handler", "out", "seed", "_start"}
+
+
+def _emit(args, report: dict, witnesses=None, metrics=None):
+    """Emit the report with a manifest echoed from the parsed command
+    line: every option under `params` (unset ones null) but --out and
+    --seed, which goes under `seeds` where the subcommand has it."""
+    options = vars(args)
     manifest = RunManifest(
-        command=command, params=params, seeds=seeds or {}, metrics=metrics or {}
+        command=f"{args.group} {args.command}",
+        params={name: value for name, value in options.items() if name not in _NOT_PARAMS},
+        seeds={"seed": args.seed} if "seed" in options else {},
+        metrics=metrics or {},
     )
     manifest.elapsed_ms = (time.monotonic() - args._start) * 1000.0
-    reporting.emit_run(manifest, report, getattr(args, "out", None), witnesses)
+    reporting.emit_run(manifest, report, args.out, witnesses)
 
 
 def _cmd_tree_classify(args) -> int:
@@ -74,7 +83,7 @@ def _cmd_tree_classify(args) -> int:
         "balanced": shape.balanced,
         "projection": list(projection(X)),
     }
-    _emit(args, "tree classify", {"depth": args.depth, "leaves": list(args.leaves)}, report)
+    _emit(args, report)
     return EXIT_OK
 
 
@@ -89,13 +98,7 @@ def _cmd_color_build_base(args) -> int:
     if found is not None:
         write_coloring(found, args.out_file)
         report["path"] = args.out_file
-    _emit(
-        args,
-        "color build-base",
-        {"ground": args.ground, "clique": args.clique, "budget": args.budget},
-        report,
-        seeds={"seed": args.seed},
-    )
+    _emit(args, report)
     return EXIT_OK if found is not None else EXIT_FOUND
 
 
@@ -109,7 +112,7 @@ def _cmd_color_verify_clique(args) -> int:
     }
     if witness is not None:
         report["witness"] = {"clique": list(witness.vertices), "color": witness.color}
-    _emit(args, "color verify-clique", {"file": args.file, "t": args.t}, report)
+    _emit(args, report)
     return EXIT_OK if witness is None else EXIT_FOUND
 
 
@@ -123,7 +126,7 @@ def _cmd_color_export(args) -> int:
         "path": args.out_file,
         "bytes": len(text.encode()),
     }
-    _emit(args, "color export", {"file": args.file, "out_file": args.out_file}, report)
+    _emit(args, report)
     return EXIT_OK
 
 
@@ -135,34 +138,33 @@ def _cmd_color_import(args) -> int:
         "ground": coloring.ground_size,
         "palette": coloring.palette,
     }
-    _emit(args, "color import", {"file": args.file}, report)
+    _emit(args, report)
     return EXIT_OK
 
 
 def _load_tower_descriptor(path):
+    """A tower descriptor's base coloring, a path or coloring text, and
+    its target_k."""
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    check_schema(obj, reporting.TOWER_SCHEMA, {"base", "target_k"})
-    base, target_k = obj.get("base"), obj.get("target_k")
-    if not isinstance(base, str):
-        raise ValueError(f"tower base must be a path or coloring text, got {base!r}")
-    if type(target_k) is not int:
-        raise ValueError(f"tower target_k must be an integer, got {target_k!r}")
+        doc = check_schema(json.load(fh), reporting.TOWER_SCHEMA, {"base": str, "target_k": int})
+    base = doc["base"]
     if base.lstrip().startswith("coloring "):
         coloring = import_coloring(base)
     else:
         coloring = read_coloring(base)
-    return coloring, target_k
+    return coloring, doc["target_k"]
 
 
 def _cmd_stepup_verify(args) -> int:
     if args.tower:
+        if args.base is not None or args.k is not None:
+            raise ValueError("--tower names the base and k; give neither --base nor --k with it")
         base, target_k = _load_tower_descriptor(args.tower)
     else:
         if not args.base:
             raise ValueError("provide --base or --tower")
         base = read_coloring(args.base)
-        target_k = args.k
+        target_k = 3 if args.k is None else args.k
     chi = build_tower(base, target_k).top
     spec = FamilySpec(target_k, args.n, args.I, families.FLAVOR_F)
     budget = None
@@ -175,19 +177,7 @@ def _cmd_stepup_verify(args) -> int:
         for slot in report_obj.slots
         if slot.witness is not None
     }
-    _emit(
-        args,
-        "stepup verify",
-        {
-            "base": args.base or args.tower,
-            "k": target_k,
-            "n": args.n,
-            "I": list(args.I),
-        },
-        report,
-        witnesses=witnesses or None,
-        metrics={"search_ms": report_obj.elapsed_ms},
-    )
+    _emit(args, report, witnesses, metrics={"search_ms": report_obj.elapsed_ms})
     if report_obj.status == search.WITNESS:
         return EXIT_FOUND
     if report_obj.status == search.INDETERMINATE:
@@ -206,12 +196,7 @@ def _cmd_family_gen(args) -> int:
         "e": len(member.edges),
         "path": args.out_file,
     }
-    _emit(
-        args,
-        "family gen",
-        {"k": args.k, "n": args.n, "I": list(args.I), "flavor": args.flavor},
-        report,
-    )
+    _emit(args, report)
     return EXIT_OK
 
 
@@ -224,12 +209,7 @@ def _cmd_family_check(args) -> int:
         "flavor": args.flavor,
         "member": ok,
     }
-    _emit(
-        args,
-        "family check",
-        {"file": args.file, "k": args.k, "n": args.n, "I": list(args.I), "flavor": args.flavor},
-        report,
-    )
+    _emit(args, report)
     return EXIT_OK if ok else EXIT_FOUND
 
 
@@ -249,12 +229,7 @@ def _cmd_steiner_blowup(args) -> int:
         "m": system.m,
         "path": args.out_file,
     }
-    _emit(
-        args,
-        "steiner blowup",
-        {"n": args.n, "k": args.k, "I": list(args.I), "m": args.m},
-        report,
-    )
+    _emit(args, report)
     return EXIT_OK
 
 
@@ -270,7 +245,7 @@ def _cmd_steiner_plane(args) -> int:
         "lines": len(plane.lines),
         "path": args.out_file,
     }
-    _emit(args, "steiner plane", {"order": args.order}, report)
+    _emit(args, report)
     return EXIT_OK
 
 
@@ -287,13 +262,7 @@ def _cmd_steiner_assemble(args) -> int:
         "e": len(glued.edges),
         "path": args.out_file,
     }
-    _emit(
-        args,
-        "steiner assemble",
-        {"system": args.system, "plane": args.plane},
-        report,
-        seeds={"seed": args.seed},
-    )
+    _emit(args, report)
     return EXIT_OK
 
 
@@ -311,7 +280,7 @@ def _cmd_steiner_check(args) -> int:
             "second": list(witness.second),
             "shared": list(witness.shared),
         }
-    _emit(args, "steiner check", {"file": args.file, "ell": args.ell}, report)
+    _emit(args, report)
     return EXIT_OK if witness is None else EXIT_FOUND
 
 
@@ -325,17 +294,7 @@ def _cmd_mc_run(args) -> int:
     trial_ms = sorted(report_obj.trial_ms)
     _emit(
         args,
-        "mc run",
-        {
-            "system": args.system,
-            "k": args.k,
-            "n": args.n,
-            "I": list(args.I),
-            "trials": args.trials,
-            "flavor": args.flavor,
-        },
         report,
-        seeds={"seed": args.seed},
         metrics={
             "trial_ms": {
                 "p50": _nearest_rank(trial_ms, 0.50),
@@ -359,7 +318,7 @@ def _cmd_bound_tower(args) -> int:
     except ValueError:  # more decimal digits than sys.get_int_max_str_digits()
         value = f"t_{args.i}({args.x})"
     report = {"schema": "treeramsey/tower-value/1", "i": args.i, "x": args.x, "value": value}
-    _emit(args, "bound tower", {"i": args.i, "x": args.x}, report)
+    _emit(args, report)
     return EXIT_OK
 
 
@@ -408,7 +367,7 @@ def build_parser() -> _Parser:
         stepup, "verify", _cmd_stepup_verify,
         base=dict(default=None),
         tower=dict(default=None, help="tower descriptor JSON"),
-        k=dict(type=int, default=3),
+        k=dict(type=int, default=None, help="target uniformity with --base (default 3)"),
         n=dict(type=int, required=True),
         I=dict(type=_int_list, required=True),
         max_nodes=dict(type=int, default=None),

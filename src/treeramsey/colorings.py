@@ -191,12 +191,6 @@ class SteppedColoring:
         return color
 
 
-def reflect_leaf(x: int, params: TreeParams) -> int:
-    """Order-reversing involution of the leaves: x -> 2**N + 1 - x."""
-    params.check_leaf(x)
-    return params.num_leaves + 1 - x
-
-
 def reflect_set(X: Sequence[int], params: TreeParams) -> tuple[int, ...]:
     return tuple(sorted(params.num_leaves + 1 - x for x in X))
 

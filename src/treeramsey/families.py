@@ -11,9 +11,6 @@ with x_I = x_0.  Flavors:
   G     connectors all distinct and strictly between x_I and x_1
   revF / revG   the same graphs under the reversed vertex order
 
-Containing both an F member and a revF member is the predicate
-`contains_fstar`, not a flavor.
-
 Members are represented as ordered hypergraphs whose vertices are their
 positions 1..v under the total order, with role labels attached.
 """
@@ -128,11 +125,6 @@ class FamilySpec:
     def connectors(self) -> list[tuple[int, ...]]:
         return connector_sets(self.n, self.k)
 
-    @property
-    def omega(self) -> list[tuple[int, ...]]:
-        """All edge index sets: the connectors plus I, I last."""
-        return self.connectors + [self.I]
-
     def with_flavor(self, flavor: str) -> "FamilySpec":
         return replace(self, flavor=flavor)
 
@@ -195,20 +187,14 @@ class OrderedHypergraph:
     def from_json(cls, obj: dict) -> "OrderedHypergraph":
         """Read a document with an integer v, edges, a list of non-empty
         integer lists, and optional labels, an object of integer positions."""
-        check_schema(obj, HYPERGRAPH_SCHEMA, {"v", "edges", "labels"})
-        v, edges, labels = obj.get("v"), obj.get("edges"), obj.get("labels")
-        if type(v) is not int:
-            raise ValueError(f"hypergraph v must be an integer, got {v!r}")
-        if not isinstance(edges, list) or not all(
-            isinstance(e, list) and e and all(type(x) is int for x in e) for e in edges
-        ):
-            raise ValueError("hypergraph edges must be a list of non-empty integer lists")
-        if labels is not None and not (
-            isinstance(labels, dict) and all(type(p) is int for p in labels.values())
-        ):
-            raise ValueError("hypergraph labels must be an object of integer positions")
+        doc = check_schema(obj, HYPERGRAPH_SCHEMA, {"v": int, "edges": list}, {"labels": dict})
+        edges, labels = doc["edges"], doc.get("labels")
+        if not all(type(e) is list and e and all(type(x) is int for x in e) for e in edges):
+            raise ValueError("hypergraph edges must be non-empty integer lists")
+        if labels is not None and not all(type(p) is int for p in labels.values()):
+            raise ValueError("hypergraph labels must be integer positions")
         edges = tuple(tuple(sorted(e)) for e in edges)
-        return cls(v, edges, dict(labels) if labels is not None else None)
+        return cls(doc["v"], edges, dict(labels) if labels is not None else None)
 
 
 def reverse(H: OrderedHypergraph) -> OrderedHypergraph:
@@ -227,33 +213,11 @@ def canonical_member(spec: FamilySpec) -> OrderedHypergraph:
     """The member with all connectors distinct, in colex order of J.
 
     Layout: anchor first, then one connector vertex per J strictly
-    between the anchor and x_1, then x_1 < ... < x_n.  For F flavors the
-    anchor carries both the x0 and xI roles; for G flavors it is xI.
+    between the anchor and x_1, then x_1 < ... < x_n; that is, the
+    blueprint with one interior class per connector, in colex order.
     """
-    connectors = spec.connectors
-    q = len(connectors)
-    labels: dict[str, int] = {}
-    anchor = 1
-    labels[ROLE_SPECIAL] = anchor
-    if spec.flavor in (FLAVOR_F, FLAVOR_REVF):
-        labels[role_distinguished(0)] = anchor
-    pos_connector = {}
-    for idx, J in enumerate(connectors):
-        pos_connector[J] = 2 + idx
-        labels[role_connector(J)] = 2 + idx
-    pos_distinguished = {}
-    for i in range(1, spec.n + 1):
-        pos_distinguished[i] = q + 1 + i
-        labels[role_distinguished(i)] = q + 1 + i
-    v = spec.n + q + 1
-
-    edges = [tuple(sorted({anchor} | {pos_distinguished[i] for i in spec.I}))]
-    for J in connectors:
-        edges.append(tuple(sorted({pos_connector[J]} | {pos_distinguished[j] for j in J})))
-    member = OrderedHypergraph(v, tuple(sorted(edges)), labels)
-    if spec.reversed_order:
-        member = reverse(member)
-    return member
+    classes = tuple((J,) for J in spec.connectors)
+    return realize_blueprint(MemberBlueprint(spec, classes, tuple(range(len(classes)))))
 
 
 def is_member(H: OrderedHypergraph, spec: FamilySpec) -> bool:
@@ -308,16 +272,6 @@ def is_member(H: OrderedHypergraph, spec: FamilySpec) -> bool:
     return H.edge_set == frozenset(expected)
 
 
-def contains_fstar(H: OrderedHypergraph, spec: FamilySpec) -> bool:
-    """Whether H contains an F member and a revF member as ordered subgraphs."""
-    from .search import contains_family_member
-
-    base = spec.with_flavor(FLAVOR_F)
-    return contains_family_member(H, base) and contains_family_member(
-        H, base.with_flavor(FLAVOR_REVF)
-    )
-
-
 # Placement of a connector class: collapse onto the anchor, collapse onto
 # x_1, or a dedicated vertex in one of the ordered interior slots.
 PLACE_ANCHOR = "anchor"
@@ -355,18 +309,24 @@ class MemberBlueprint:
 
 
 def realize_blueprint(bp: MemberBlueprint) -> OrderedHypergraph:
-    """Build the ordered hypergraph a blueprint describes, labels included."""
+    """Build the ordered hypergraph a blueprint describes, labels included.
+
+    The anchor carries the xI role, and for F flavors also x0.
+    """
     spec = bp.spec
     interior = sum(1 for p in bp.placements if isinstance(p, int))
     anchor = 1
     x1 = anchor + interior + 1
     v = spec.n + interior + 1
 
-    labels = {ROLE_SPECIAL: anchor, role_distinguished(0): anchor}
+    labels = {ROLE_SPECIAL: anchor}
+    if spec.flavor in _ANCHORED_FLAVORS:
+        labels[role_distinguished(0)] = anchor
     pos_of = {}
     for i in range(1, spec.n + 1):
         pos_of[i] = x1 + (i - 1)
         labels[role_distinguished(i)] = pos_of[i]
+    edges = {tuple(sorted({anchor} | {pos_of[i] for i in spec.I}))}
     for cls, place in zip(bp.classes, bp.placements):
         if place == PLACE_ANCHOR:
             pos = anchor
@@ -376,11 +336,6 @@ def realize_blueprint(bp: MemberBlueprint) -> OrderedHypergraph:
             pos = anchor + 1 + place
         for J in cls:
             labels[role_connector(J)] = pos
-
-    edges = {tuple(sorted({anchor} | {pos_of[i] for i in spec.I}))}
-    for cls, place in zip(bp.classes, bp.placements):
-        pos = labels[role_connector(cls[0])]
-        for J in cls:
             edges.add(tuple(sorted({pos} | {pos_of[j] for j in J})))
     member = OrderedHypergraph(v, tuple(sorted(edges)), labels)
     if spec.reversed_order:

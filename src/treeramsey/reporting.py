@@ -60,14 +60,40 @@ def dump_records(obj: dict) -> str:
     return "{\n" + ",\n".join(fields) + "\n}\n"
 
 
-def check_schema(obj: dict, schema: str, allowed: set[str]) -> None:
-    if not isinstance(obj, dict):
+_JSON_TYPES = {
+    int: "an integer", float: "a number", str: "a string", bool: "a boolean",
+    list: "a list", dict: "an object", type(None): "null",
+}
+
+
+def check_schema(
+    obj, schema: str, required: dict[str, type], optional: dict[str, type] = {}
+) -> dict:
+    """Check a document's schema id and the JSON type of each top-level
+    field; return the document without its null optional fields.
+
+    `required` and `optional` map field names to int, str, list or dict,
+    compared with `type(x) is`, so true is not an integer.  An optional
+    field set to null reads as absent.  Errors name the field.
+    """
+    if type(obj) is not dict:
         raise ValueError("expected a JSON object")
     if obj.get("schema") != schema:
         raise ValueError(f"expected schema {schema}, got {obj.get('schema')!r}")
-    unknown = set(obj) - allowed - {"schema"}
+    unknown = obj.keys() - required.keys() - optional.keys() - {"schema"}
     if unknown:
         raise ValueError(f"unknown fields for {schema}: {sorted(unknown)}")
+    doc = {name: value for name, value in obj.items() if value is not None or name in required}
+    for name, kind in (*required.items(), *optional.items()):
+        if name not in doc:
+            if name in required:
+                raise ValueError(f"{schema} field {name!r} is missing")
+        elif type(doc[name]) is not kind:
+            raise ValueError(
+                f"{schema} field {name!r} must be {_JSON_TYPES[kind]}, "
+                f"got {_JSON_TYPES[type(doc[name])]}"
+            )
+    return doc
 
 
 @dataclass

@@ -212,17 +212,12 @@ class ProjectivePlane:
     @classmethod
     def from_json(cls, obj: dict) -> "ProjectivePlane":
         """Read a plane document; raise unless it is a valid plane."""
-        check_schema(obj, PLANE_SCHEMA, {"order", "points", "lines"})
-        order, lines = obj.get("order"), obj.get("lines")
-        if type(order) is not int:
-            raise ValueError(f"plane order must be an integer, got {order!r}")
-        if not isinstance(lines, list) or not all(
-            isinstance(line, list) and all(type(x) is int for x in line)
-            for line in lines
-        ):
-            raise ValueError("plane lines must be a list of integer lists")
-        plane = cls(order, tuple(map(tuple, lines)))
-        if obj.get("points") != plane.num_points:
+        doc = check_schema(obj, PLANE_SCHEMA, {"order": int, "points": int, "lines": list})
+        lines = doc["lines"]
+        if not all(type(line) is list and all(type(x) is int for x in line) for line in lines):
+            raise ValueError("plane lines must be integer lists")
+        plane = cls(doc["order"], tuple(map(tuple, lines)))
+        if doc["points"] != plane.num_points:
             raise ValueError("point count inconsistent with order")
         validate_projective_plane(plane)
         return plane
@@ -482,39 +477,37 @@ def sample_ordering_and_search(
 
 def read_system(path) -> BlowupSystem | SteinerSystem:
     """Load a system file: a positive integer v, an integer k, edges, a
-    list of k-lists of distinct integers in [1, v], a provenance list
-    (not read) and params, an object with integers n, k, m and a list of
-    integers I.  With params the file must hold exactly that blow-up,
-    which is returned; sizes are compared before edges, so params cannot
-    force a large blow-up to be built.  Otherwise it is a SteinerSystem."""
+    list of k-lists of distinct integers in [1, v], optional provenance,
+    a list (not read), and optional params, an object with integers n,
+    k, m and a list of integers I.  With params the file must hold
+    exactly that blow-up, which is returned; sizes are compared before
+    edges, so params cannot force a large blow-up to be built.
+    Otherwise it is a SteinerSystem."""
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    check_schema(obj, SYSTEM_SCHEMA, {"v", "k", "edges", "provenance", "params"})
-    v, k, edges = obj.get("v"), obj.get("k"), obj.get("edges")
-    if type(v) is not int or v < 1:
-        raise ValueError(f"system v must be a positive integer, got {v!r}")
-    if type(k) is not int:
-        raise ValueError(f"system k must be an integer, got {k!r}")
-    if not isinstance(edges, list):
-        raise ValueError("system edges must be a list")
-    for e in edges:
+        doc = check_schema(
+            json.load(fh), SYSTEM_SCHEMA, {"v": int, "k": int, "edges": list},
+            {"provenance": list, "params": dict},
+        )
+    v, k = doc["v"], doc["k"]
+    if v < 1:
+        raise ValueError(f"system v must be a positive integer, got {v}")
+    edges = []
+    for e in doc["edges"]:
         if not (
-            isinstance(e, list)
+            type(e) is list
             and len(e) == k
             and all(type(x) is int and 1 <= x <= v for x in e)
             and len(set(e)) == k
         ):
             raise ValueError(f"edge {e!r} is not {k} distinct vertices in [1, {v}]")
-    if not isinstance(obj.get("provenance", []), list):
-        raise ValueError("system provenance must be a list")
-    edges = sorted(tuple(sorted(e)) for e in edges)
-    params = obj.get("params")
+        edges.append(tuple(sorted(e)))
+    edges.sort()
+    params = doc.get("params")
     if params is None:
         return SteinerSystem(v, k, tuple(edges), {})
     if not (
-        isinstance(params, dict)
-        and all(type(params.get(f)) is int for f in ("n", "k", "m"))
-        and isinstance(params.get("I"), list)
+        all(type(params.get(f)) is int for f in ("n", "k", "m"))
+        and type(params.get("I")) is list
         and all(type(i) is int for i in params["I"])
     ):
         raise ValueError(

@@ -3,8 +3,8 @@
 The tree of depth N has 2**N leaves numbered 1..2**N in left-to-right
 order and N+1 levels, with the root at level 1 and the leaves at level
 N+1.  Everything here is a pure function of leaf indices: the level of
-the common ancestor of two leaves, which side of that ancestor a leaf
-hangs on, and the shape (comb or split) of a set of leaves.
+the common ancestor of two leaves, the parts of a set on either side
+of its ancestor, and the shape (comb or split) of a set of leaves.
 
 Leaf x is identified with the N-bit integer x-1, so the ancestor level
 of x and y is N minus the position of the highest bit where they
@@ -16,11 +16,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from typing import Iterable, Iterator
-
-
-class Side(enum.Enum):
-    LEFT = "left"
-    RIGHT = "right"
 
 
 class ShapeKind(enum.Enum):
@@ -83,20 +78,12 @@ class Shape:
     right_count: int
 
     @property
-    def size(self) -> int:
-        return self.left_count + self.right_count
-
-    @property
     def balanced(self) -> bool:
         return self.kind is ShapeKind.SPLIT and self.left_count >= 2 and self.right_count >= 2
 
     @property
     def head_split(self) -> bool:
         return self.kind is ShapeKind.SPLIT and self.right_count == 1
-
-    @property
-    def tail_split(self) -> bool:
-        return self.kind is ShapeKind.SPLIT and self.left_count == 1
 
 
 def ancestor_level(x: int, y: int, params: TreeParams) -> int:
@@ -110,20 +97,6 @@ def ancestor_level(x: int, y: int, params: TreeParams) -> int:
     params.check_leaf(x)
     params.check_leaf(y)
     return params.depth - ((x - 1) ^ (y - 1)).bit_length() + 1
-
-
-def descendant_side(x: int, y: int, params: TreeParams) -> Side:
-    """Side on which x hangs below the common ancestor of x and y.
-
-    The smaller leaf is always the left descendant, so this is Side.LEFT
-    iff x < y; kept as an operation (with validation) because callers
-    reason in terms of the ancestor, not the comparison.
-    """
-    if x == y:
-        raise ValueError("delta undefined on equal leaves")
-    params.check_leaf(x)
-    params.check_leaf(y)
-    return Side.LEFT if x < y else Side.RIGHT
 
 
 def split_parts(X: LeafSet) -> tuple[LeafSet, LeafSet]:

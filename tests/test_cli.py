@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 
 import pytest
 from hypothesis import assume, given, settings
@@ -23,6 +24,15 @@ from conftest import (
 def c4_file(tmp_path):
     path = tmp_path / "c4.coloring"
     write_coloring(c4_coloring(), path)
+    return str(path)
+
+
+@pytest.fixture
+def tower_file(tmp_path, c4_file):
+    from treeramsey.reporting import dump_json
+
+    path = tmp_path / "tower.json"
+    path.write_text(dump_json({"schema": "treeramsey/tower/1", "base": c4_file, "target_k": 3}))
     return str(path)
 
 
@@ -352,6 +362,24 @@ class TestCommands:
             ["stepup", "verify", "--tower", str(descriptor), "--n", "4", "--I", "1,2"]
         ) == 0
 
+    @pytest.mark.parametrize(
+        "extra", [["--base", "c4"], ["--base", "nonexistent", "--k", "5"]],
+        ids=["c4-base", "missing-base-and-k"],
+    )
+    def test_tower_with_base_exits_two(self, tower_file, c4_file, capsys, extra):
+        extra = [c4_file if arg == "c4" else arg for arg in extra]
+        code = run(["stepup", "verify", "--tower", tower_file, "--n", "4", "--I", "1,2", *extra])
+        assert code == 2
+        assert "--base" in json.loads(capsys.readouterr().err)["error"]
+
+    @pytest.mark.parametrize("k", ["3", "4"])
+    def test_tower_with_k_exits_two(self, tower_file, capsys, k):
+        # even a --k equal to the descriptor's target_k is refused
+        code = run(["stepup", "verify", "--tower", tower_file, "--n", "4", "--I", "1,2",
+                    "--k", k])
+        assert code == 2
+        assert "--k" in json.loads(capsys.readouterr().err)["error"]
+
     def test_tower_descriptor_inline_base(self, tmp_path, capsys):
         from treeramsey.reporting import dump_json
 
@@ -609,7 +637,7 @@ class TestReaderFuzz:
     value of another JSON type; the reader must refuse it with exit 2.
 
     Optional fields are never dropped, and never set to null, which
-    reads as absent."""
+    reads as absent: `test_null_optional_field_reads_as_absent`."""
 
     def test_valid_documents_run(self, reader_cases):
         target, cases = reader_cases
@@ -640,6 +668,22 @@ class TestReaderFuzz:
         code, err = _run_quietly(argv(target))
         assert code == 2, (field, kind, mutated.get(field))
         assert json.loads(err)["error"]
+
+    def test_null_optional_field_reads_as_absent(self, reader_cases):
+        target, cases = reader_cases
+        for name, (doc, optional, argv) in cases.items():
+            for field in optional:
+                results = []
+                for value in ("drop", None):
+                    mutated = {f: v for f, v in doc.items() if f != field}
+                    if value is None:
+                        mutated[field] = None
+                    with open(target, "w", encoding="utf-8") as fh:
+                        json.dump(mutated, fh)
+                    results.append(_run_quietly(argv(target)))
+                assert results[1] == results[0], (name, field)
+                if field != "labels":  # family check needs labels, so both exit 2
+                    assert results[1][0] == 0, (name, field)
 
 
 class TestColoringReaderFuzz:
@@ -711,6 +755,70 @@ class TestColoringReaderFuzz:
         code, err = self.verify(text, path, command)
         assert code == 2, (kind, text)
         assert json.loads(err)["error"]
+
+
+def _outputs(out_dir):
+    """Every file a run wrote into out_dir but its manifest, as bytes."""
+    files = {}
+    for root, _, names in os.walk(out_dir):
+        for name in names:
+            path = os.path.join(root, name)
+            files[os.path.relpath(path, out_dir)] = open(path, "rb").read()
+    del files["manifest.json"]
+    return files
+
+
+def _replay_argv(manifest):
+    """The command line a manifest echoes: its command, then every
+    non-null param and seed as an option."""
+    argv = manifest["command"].split()
+    for name, value in sorted({**manifest["params"], **manifest["seeds"]}.items()):
+        if value is not None:
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            argv += [f"--{name.replace('_', '-')}", text]
+    return argv
+
+
+class TestManifestReplay:
+    """Re-running the command line a manifest echoes reproduces the
+    run's report.json and witness files byte for byte, and its exit code."""
+
+    @pytest.mark.parametrize(
+        "case",
+        ["stepup-nodes", "stepup-tower", "stepup-witness", "steiner-chain", "mc-run",
+         "family-gen", "bound-tower"],
+    )
+    def test_replay_reproduces_report(self, case, c4_file, allzero_file, tower_file,
+                                      tmp_path, capsys):
+        system, plane, glued = (str(tmp_path / f) for f in ("r.json", "p.json", "h.json"))
+        blowup = ["steiner", "blowup", "--n", "3", "--k", "3", "--I", "1,2", "--m", "2",
+                  "--out-file", system]
+        verify = ["stepup", "verify", "--n", "4", "--I", "1,2"]
+        runs = {
+            # unbudgeted, the C4 k=3 run is clean and exits 0
+            "stepup-nodes": [verify + ["--base", c4_file, "--max-nodes", "5"]],
+            "stepup-tower": [verify + ["--tower", tower_file]],
+            "stepup-witness": [verify + ["--base", allzero_file, "--k", "3"]],
+            "steiner-chain": [
+                blowup,
+                ["steiner", "plane", "--order", "17", "--out-file", plane],
+                ["steiner", "assemble", "--system", system, "--plane", plane, "--seed", "4",
+                 "--out-file", glued],
+                ["steiner", "check", "--file", glued, "--ell", "2"],
+            ],
+            "mc-run": [blowup, ["mc", "run", "--system", system, "--k", "3", "--n", "3",
+                                "--I", "1,2", "--trials", "4", "--seed", "3"]],
+            "family-gen": [["family", "gen", "--k", "4", "--n", "5", "--I", "1,2,4",
+                            "--flavor", "revG", "--out-file", str(tmp_path / "m.json")]],
+            "bound-tower": [["bound", "tower", "--i", "2", "--x", "3"]],
+        }[case]
+        for step, argv in enumerate(runs):
+            first, again = tmp_path / f"{step}-first", tmp_path / f"{step}-again"
+            code = run(argv + ["--out", str(first)])
+            manifest = json.loads((first / "manifest.json").read_text())
+            assert run(_replay_argv(manifest) + ["--out", str(again)]) == code
+            assert _outputs(again) == _outputs(first)
+        assert code == {"stepup-nodes": 3, "stepup-witness": 1, "mc-run": 1}.get(case, 0)
 
 
 class TestReproducibility:

@@ -22,7 +22,6 @@ from treeramsey import (
     classify,
     export_coloring,
     import_coloring,
-    reflect_leaf,
     reflect_set,
     search_base_coloring,
     verify_no_mono_clique,
@@ -225,16 +224,16 @@ class TestProfileTable:
 
 class TestReflection:
     def test_examples(self):
-        assert reflect_leaf(1, TreeParams(2)) == 4
-        assert reflect_leaf(5, TreeParams(3)) == 4
+        assert reflect_set((1,), TreeParams(2)) == (4,)
+        assert reflect_set((5, 1), TreeParams(3)) == (4, 8)
 
     @settings(max_examples=200)
     @given(st.data())
     def test_involution(self, data):
         N = data.draw(st.integers(1, 20))
-        x = data.draw(st.integers(1, 2**N))
+        X = data.draw(st.sets(st.integers(1, 2**N), min_size=1, max_size=4))
         p = TreeParams(N)
-        assert reflect_leaf(reflect_leaf(x, p), p) == x
+        assert reflect_set(reflect_set(X, p), p) == tuple(sorted(X))
 
     @settings(max_examples=200)
     @given(st.data())

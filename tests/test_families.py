@@ -17,7 +17,7 @@ from treeramsey import (
     OrderedHypergraph,
     canonical_member,
     canonical_separated,
-    contains_fstar,
+    contains_family_member,
     enumerate_blueprints,
     is_member,
     is_separated,
@@ -124,7 +124,7 @@ class TestFamilySpec:
             FamilySpec(4, 3, (1, 2, 3), FLAVOR_G)
 
     def test_fstar_is_not_a_flavor(self):
-        # F* is the predicate contains_fstar, not a family of members
+        # F* is containing an F member and a revF member, not a family
         with pytest.raises(ValueError, match="unknown flavor 'Fstar'"):
             FamilySpec(3, 4, (1, 2), "Fstar")
 
@@ -287,17 +287,26 @@ class TestBlueprints:
 
 
 class TestFstar:
+    """F*: an F member and a revF member both as ordered subgraphs."""
+
+    @staticmethod
+    def contains_both(host, spec):
+        return all(
+            contains_family_member(host, spec.with_flavor(flavor))
+            for flavor in (FLAVOR_F, FLAVOR_REVF)
+        )
+
     def test_complete_graph_contains_both(self):
         spec = spec334(FLAVOR_F)
         v = 6
         edges = tuple(itertools.combinations(range(1, v + 1), 3))
         host = OrderedHypergraph(v, edges)
-        assert contains_fstar(host, spec)
+        assert self.contains_both(host, spec)
 
     def test_too_small_host(self):
         spec = spec334(FLAVOR_F)
         host = OrderedHypergraph(3, ((1, 2, 3),))
-        assert not contains_fstar(host, spec)
+        assert not self.contains_both(host, spec)
 
 
 class TestHypergraphIO:

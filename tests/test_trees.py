@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 from treeramsey import (
     LeafSet,
     ShapeKind,
-    Side,
     TreeParams,
     ancestor_level,
     classify,
     consecutive_levels,
-    descendant_side,
     projection,
     split_parts,
 )
@@ -68,18 +66,23 @@ class TestAncestorLevel:
 
 
 class TestDescendantSide:
+    """Of two leaves, split_parts puts the left descendant of their
+    common ancestor in the left part."""
+
     def test_smaller_leaf_goes_left(self):
-        assert descendant_side(1, 2, TreeParams(2)) is Side.LEFT
+        assert split_parts(leafset((2, 1), 2))[0].elements == (1,)
 
     def test_larger_leaf_goes_right(self):
-        assert descendant_side(5, 2, TreeParams(3)) is Side.RIGHT
+        assert split_parts(leafset((5, 2), 3))[1].elements == (5,)
 
     def test_matches_oracle(self, oracle_trees):
         for N in (2, 3, 4):
-            p = TreeParams(N)
             tree = oracle_trees[N]
             for x, y in itertools.permutations(range(1, 2**N + 1), 2):
-                assert descendant_side(x, y, p).value == tree.side(x, y)
+                left, right = split_parts(leafset((x, y), N))
+                side = "left" if left.elements == (x,) else "right"
+                assert right.elements == ((y,) if side == "left" else (x,))
+                assert side == tree.side(x, y)
 
 
 class TestSplitParts:
