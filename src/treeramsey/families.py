@@ -17,6 +17,7 @@ positions 1..v under the total order, with role labels attached.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -82,13 +83,16 @@ def canonical_separated(n: int, k: int) -> tuple[int, ...]:
     )
 
 
-def connector_sets(n: int, k: int) -> list[tuple[int, ...]]:
-    """The (k-1)-subsets of {2..n}, in colex order."""
-    out = []
-    for last in range(k, n + 1):
-        for rest in itertools.combinations(range(2, last), k - 2):
-            out.append(rest + (last,))
-    return out
+@functools.lru_cache(maxsize=64)
+def connector_sets(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The (k-1)-subsets of {2..n}, in colex order.  Each (n, k) is
+    enumerated once and the result is shared by every caller, so it is
+    a tuple."""
+    return tuple(
+        rest + (last,)
+        for last in range(k, n + 1)
+        for rest in itertools.combinations(range(2, last), k - 2)
+    )
 
 
 @dataclass(frozen=True)
@@ -122,7 +126,7 @@ class FamilySpec:
         return self.flavor in (FLAVOR_REVF, FLAVOR_REVG)
 
     @property
-    def connectors(self) -> list[tuple[int, ...]]:
+    def connectors(self) -> tuple[tuple[int, ...], ...]:
         return connector_sets(self.n, self.k)
 
     def with_flavor(self, flavor: str) -> "FamilySpec":
@@ -169,9 +173,38 @@ class OrderedHypergraph:
     def uniformity(self) -> int:
         return len(self.edges[0]) if self.edges else 0
 
-    @property
+    # The cached views below are built on first use and kept in the
+    # instance dict; they are not fields, so equality and `to_json` do
+    # not see them.
+
+    @functools.cached_property
     def edge_set(self) -> frozenset[tuple[int, ...]]:
         return frozenset(self.edges)
+
+    @functools.cached_property
+    def incidence(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Entry p holds the edges through vertex p; entry 0 is empty."""
+        through: list[list[tuple[int, ...]]] = [[] for _ in range(self.v + 1)]
+        for e in self.edges:
+            for p in e:
+                through[p].append(e)
+        return tuple(map(tuple, through))
+
+    @functools.cached_property
+    def completions(self) -> dict[tuple[int, ...], list[int]]:
+        """Each edge minus one vertex, mapped to every vertex that
+        completes it to an edge, in increasing order.
+
+        In a partial (k, k-1)-system each list has one vertex; other
+        hypergraphs may have several.  Edges are visited in sorted
+        order, and for a set K and c < c' the sorted edge K + {c}
+        precedes K + {c'}, so each list is built increasing.
+        """
+        out: dict[tuple[int, ...], list[int]] = {}
+        for e in sorted(self.edges):
+            for i, c in enumerate(e):
+                out.setdefault(e[:i] + e[i + 1 :], []).append(c)
+        return out
 
     def to_json(self) -> dict:
         out = {
@@ -296,7 +329,8 @@ class MemberBlueprint:
 
     def __post_init__(self):
         flat = [J for cls in self.classes for J in cls]
-        if sorted(flat) != sorted(self.spec.connectors):
+        connectors = self.spec.connectors
+        if len(flat) != len(connectors) or set(flat) != set(connectors):
             raise ValueError("classes must partition the connector sets")
         if len(self.placements) != len(self.classes):
             raise ValueError("one placement per class")

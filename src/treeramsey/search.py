@@ -632,45 +632,85 @@ def find_ordered_copy(
 ) -> Optional[tuple[int, ...]]:
     """Least order-preserving embedding of target into host, or None.
 
-    Candidates are filtered by degree and checked edge-by-edge as soon
-    as an edge's last vertex is placed; scanning host positions in
-    increasing order makes the returned image tuple lexicographically
-    least.
+    Target vertices are placed in index order, each image above the
+    previous one and low enough to leave room for the rest.  A candidate
+    needs at least the target vertex's degree, and every target edge
+    whose largest vertex is i is checked against the host once i is
+    placed.  The candidates for i are drawn from the host's views
+    (`OrderedHypergraph.incidence` and `completions`), which are cached
+    on the host and so built once for every target embedded into it:
+
+    * Forced last vertex.  When i is the largest vertex of a target edge,
+      the edge's other vertices are placed, so the image of i must
+      complete their images to a host edge: the candidates are the
+      completions of that (k-1)-set.  In a partial (k, k-1)-system,
+      where k-1 vertices lie in at most one edge, there is at most one.
+    * Neighbour restriction.  Otherwise, when i shares an edge with
+      earlier target vertices, its image must share a host edge with
+      each of their images.
+    * A vertex with no earlier neighbour scans every position in range.
+
+    Why the image stays least: each rule drops only positions that no
+    embedding of the placed prefix can use, so the candidates of i
+    include every position a scan of the whole range would accept, and
+    they are tried in increasing order.  The depth-first search
+    therefore returns the lexicographically least image tuple, the one
+    that scanning every host position returns.
     """
     if not target.edges:
         raise ValueError("target must have at least one edge")
     host_edges = host.edge_set
-    host_deg = [0] * (host.v + 1)
-    for e in host.edges:
-        for p in e:
-            host_deg[p] += 1
-    target_deg = [0] * (target.v + 1)
-    edges_by_max: dict[int, list[tuple[int, ...]]] = {}
+    incidence = host.incidence
+    completions = host.completions
+    hv, tv = host.v, target.v
+    target_deg = [len(through) for through in target.incidence]
+    edges_by_max: list[list[tuple[int, ...]]] = [[] for _ in range(tv + 1)]
+    earlier: list[set[int]] = [set() for _ in range(tv + 1)]
     for e in target.edges:
-        for p in e:
-            target_deg[p] += 1
-        edges_by_max.setdefault(max(e), []).append(e)
+        edges_by_max[e[-1]].append(e)
+        for idx, p in enumerate(e):
+            earlier[p].update(e[:idx])
 
-    image = [0] * (target.v + 1)
+    image = [0] * (tv + 1)
+    near: dict[int, frozenset[int]] = {}
 
-    def place(i):
-        if i > target.v:
-            return tuple(image[1:])
-        lo = image[i - 1] + 1 if i > 1 else 1
-        for cand in range(lo, host.v - (target.v - i) + 1):
-            if host_deg[cand] < target_deg[i]:
+    def neighbours(u):
+        """u and every host vertex that shares an edge with it."""
+        if u not in near:
+            near[u] = frozenset(p for e in incidence[u] for p in e)
+        return near[u]
+
+    def candidates(i, lo, hi):
+        if edges_by_max[i]:
+            key = tuple(image[p] for p in edges_by_max[i][0][:-1])
+            return [c for c in completions.get(key, ()) if lo <= c <= hi]
+        if earlier[i]:
+            common = frozenset.intersection(*(neighbours(image[j]) for j in earlier[i]))
+            return sorted(c for c in common if lo <= c <= hi)
+        return range(lo, hi + 1)
+
+    # Depth-first over the target vertices.  A loop, not a recursive
+    # closure, so no reference cycle keeps the host's views alive after
+    # the call; pending[i] holds the candidates of i not yet tried.
+    pending = [iter(())] * (tv + 1)
+    pending[1] = iter(candidates(1, 1, hv - tv + 1))
+    i = 1
+    while i:
+        for cand in pending[i]:
+            if len(incidence[cand]) < target_deg[i]:
                 continue
             image[i] = cand
-            if all(
-                tuple(sorted(image[p] for p in e)) in host_edges
-                for e in edges_by_max.get(i, ())
-            ):
-                result = place(i + 1)
-                if result is not None:
-                    return result
-        return None
-
-    return place(1)
+            # images increase with the vertex, so an edge's image is sorted
+            if all(tuple(image[p] for p in e) in host_edges for e in edges_by_max[i]):
+                break
+        else:
+            i -= 1
+            continue
+        if i == tv:
+            return tuple(image[1:])
+        i += 1
+        pending[i] = iter(candidates(i, image[i - 1] + 1, hv - (tv - i)))
+    return None
 
 
 def contains_family_member(host: OrderedHypergraph, spec: FamilySpec) -> bool:

@@ -85,8 +85,8 @@ class BlowupSystem:
             raise ValueError(f"I must contain 1 and lie in [n], got {I}")
 
     @functools.cached_property
-    def omega(self) -> list[tuple[int, ...]]:
-        return connector_sets(self.n, self.k) + [self.I]
+    def omega(self) -> tuple[tuple[int, ...], ...]:
+        return connector_sets(self.n, self.k) + (self.I,)
 
     @functools.cached_property
     def _block_index(self) -> dict[tuple[int, ...], int]:
@@ -433,10 +433,12 @@ def sample_ordering_and_search(
     canonical member of the G flavor and of the revG flavor as ordered
     subgraphs.  Failing orderings are kept verbatim for replay.  Trial
     seeds are derived by counter, so the report does not depend on the
-    worker count.
+    worker count.  At most `trials` worker processes are started.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if workers < 1:
+        raise ValueError(f"need at least one worker, got {workers}")
     if spec.flavor not in (FLAVOR_G, FLAVOR_REVG):
         raise ValueError(f"ordering experiment needs flavor G or revG, got {spec.flavor}")
     if spec.k != system.k:
@@ -452,7 +454,8 @@ def sample_ordering_and_search(
         FLAVOR_REVG: canonical_member(spec.with_flavor(FLAVOR_REVG)),
     }
     tasks = [(system, targets, seed, t) for t in range(trials)]
-    if workers <= 1:
+    workers = min(workers, trials)
+    if workers == 1:
         results = [_run_ordering_trial(task) for task in tasks]
     else:
         from concurrent.futures import ProcessPoolExecutor

@@ -189,6 +189,44 @@ class TestFrontier:
         assert [c["nodes"] for c in counters] == [65_540, 7, 7, 65_558]
         assert [c["chi_evals"] for c in counters] == [65_536, 4, 4, 65_554]
 
+    def test_mc_run_on_k4_glued_completes(self, tmp_path, capsys):
+        # The glued (4,4,2) system at p = 29: 871 vertices, 13,936 edges.
+        # Embedding the G members by scanning every host position does
+        # not finish a trial in minutes; through the (k-1)-set map a
+        # trial takes well under a second.
+        from treeramsey import FamilySpec, canonical_member, find_ordered_copy
+        from treeramsey.steiner import _run_ordering_trial, ordering_as_hypergraph, read_system
+
+        system, plane, glued = (tmp_path / f for f in ("r.json", "plane.json", "h.json"))
+        assert run(["steiner", "blowup", "--n", "4", "--k", "4", "--I", "1,2,3",
+                    "--m", "2", "--out-file", str(system)]) == 0
+        assert run(["steiner", "plane", "--order", "29", "--out-file", str(plane)]) == 0
+        assert run(["steiner", "assemble", "--system", str(system), "--plane", str(plane),
+                    "--out-file", str(glued)]) == 0
+        out = tmp_path / "mc"
+        code = run(["mc", "run", "--system", str(glued), "--k", "4", "--n", "4",
+                    "--I", "1,2,3", "--trials", "2", "--out", str(out)])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["found_fraction"] == {"G": 1.0, "revG": 1.0}
+        assert report["failures"] == []
+
+        host_system = read_system(glued)
+        spec = FamilySpec(4, 4, (1, 2, 3), "G")
+        targets = {fl: canonical_member(spec.with_flavor(fl)) for fl in ("G", "revG")}
+        for t in range(2):
+            _, hits, ordering, _ = _run_ordering_trial((host_system, targets, 0, t))
+            assert hits == {"G": True, "revG": True}
+            host = ordering_as_hypergraph(host_system, ordering)
+            edges = host.edge_set
+            for target in targets.values():
+                image = find_ordered_copy(host, target)
+                assert len(image) == target.v
+                assert all(a < b for a, b in zip(image, image[1:]))
+                assert 1 <= image[0] and image[-1] <= host.v
+                for e in target.edges:
+                    assert tuple(sorted(image[p - 1] for p in e)) in edges
+
     def test_tower_past_python_ints_exits_two(self, c4_file, capsys):
         # With no digit limit the k=6 tower over C4 is built, but its
         # 2**(2**65536) leaves cannot be held as Python integers.
@@ -321,6 +359,19 @@ class TestCommands:
         assert "trial_ms" not in report
         trial_ms = json.loads((out / "manifest.json").read_text())["metrics"]["trial_ms"]
         assert 0 <= trial_ms["p50"] <= trial_ms["p95"] <= trial_ms["max"]
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_mc_run_without_workers_exits_two(self, tmp_path, capsys, workers):
+        system = tmp_path / "r.json"
+        run(["steiner", "blowup", "--n", "3", "--k", "3", "--I", "1,2",
+             "--m", "2", "--out-file", str(system)])
+        capsys.readouterr()
+        out = tmp_path / "mc"
+        code = run(["mc", "run", "--system", str(system), "--k", "3", "--n", "3",
+                    "--I", "1,2", "--trials", "2", "--workers", workers, "--out", str(out)])
+        assert code == 2
+        assert "worker" in json.loads(capsys.readouterr().err)["error"]
+        assert not out.exists()
 
     def test_old_layout_glued_file(self, tmp_path, capsys):
         # indent-2 files with per-edge {edge, copies} provenance, as

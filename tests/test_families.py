@@ -1,5 +1,6 @@
 """Separated sets, member generation/recognition, blueprints, IO."""
 
+import dataclasses
 import itertools
 import json
 
@@ -284,6 +285,56 @@ class TestBlueprints:
         spec = spec334()
         with pytest.raises(ValueError, match="partition"):
             MemberBlueprint(spec, (((2, 3),), ((2, 3),)), (PLACE_ANCHOR, PLACE_X1))
+
+
+    def test_partition_rejects_repeats_at_full_length(self):
+        spec = spec334()
+        with pytest.raises(ValueError, match="partition"):
+            MemberBlueprint(spec, (((2, 3), (2, 3), (2, 4)),), (PLACE_ANCHOR,))
+
+    def test_partition_in_any_order(self):
+        spec = spec334()
+        shuffled = tuple(reversed(spec.connectors))
+        bp = MemberBlueprint(spec, (shuffled,), (PLACE_ANCHOR,))
+        assert is_member(realize_blueprint(bp), spec)
+
+
+class TestConnectorSets:
+    def test_colex_order(self):
+        assert connector_sets(5, 4) == ((2, 3, 4), (2, 3, 5), (2, 4, 5), (3, 4, 5))
+
+    def test_enumerated_once_and_immutable(self):
+        first = connector_sets(6, 4)
+        assert isinstance(first, tuple)
+        assert connector_sets(6, 4) is first
+        assert FamilySpec(4, 6, (1, 2, 3), FLAVOR_G).connectors is first
+
+
+class TestCachedViews:
+    """The cached views of a hypergraph, checked against direct counts."""
+
+    def test_views_leave_fields_equality_and_json_alone(self):
+        member = canonical_member(FamilySpec(3, 4, (1, 2), FLAVOR_G))
+        fresh = OrderedHypergraph(member.v, member.edges, dict(member.labels))
+        assert member.edge_set is member.edge_set == frozenset(member.edges)
+        assert member.incidence and member.completions
+        assert [f.name for f in dataclasses.fields(member)] == ["v", "edges", "labels"]
+        assert member == fresh
+        assert member.to_json() == fresh.to_json()
+
+    def test_views_of_a_non_partial_hypergraph(self):
+        edges = ((2, 4, 5), (1, 2, 3), (1, 2, 5), (1, 2, 4), (3, 4, 5))
+        H = OrderedHypergraph(5, edges)
+        assert H.incidence == tuple(
+            tuple(e for e in edges if p in e) for p in range(6)
+        )
+        expected = {}
+        for key in itertools.combinations(range(1, 6), 2):
+            found = [c for c in range(1, 6) if tuple(sorted(key + (c,))) in edges]
+            if found:
+                expected[key] = found
+        assert H.completions == expected
+        assert H.completions[(1, 2)] == [3, 4, 5]
 
 
 class TestFstar:

@@ -20,7 +20,9 @@ from treeramsey import (
     ShapeKind,
     SteppedColoring,
     TreeParams,
+    assemble_h,
     build_blowup,
+    build_projective_plane,
     build_tower,
     canonical_member,
     classify,
@@ -33,7 +35,7 @@ from treeramsey import (
     verify_stepup_avoidance,
 )
 import treeramsey.search as search_module
-from treeramsey.families import FLAVOR_F, FLAVOR_G, FLAVOR_REVF
+from treeramsey.families import FLAVOR_F, FLAVOR_G, FLAVOR_REVF, FLAVOR_REVG
 from treeramsey.search import (
     CLEAN,
     INDETERMINATE,
@@ -44,6 +46,7 @@ from treeramsey.search import (
 
 from conftest import all_zero_coloring, c4_coloring, pentagon_labellings
 from descending_oracle import find_rev_copy_descending
+from ordered_copy_oracle import find_ordered_copy_by_scan
 
 
 def joint_oracle(chi, spec, colors):
@@ -489,6 +492,105 @@ class TestOrderedCopy:
     def test_target_needs_edges(self):
         with pytest.raises(ValueError, match="at least one edge"):
             find_ordered_copy(OrderedHypergraph(3, ((1, 2, 3),)), OrderedHypergraph(3, ()))
+
+
+def _random_edges(rng, vertices, k, density):
+    return tuple(e for e in itertools.combinations(vertices, k) if rng.random() < density)
+
+
+def _is_partial(H, k):
+    """Whether every (k-1)-set lies in at most one edge, counted directly."""
+    seen = set()
+    for e in H.edges:
+        for key in itertools.combinations(e, k - 1):
+            if key in seen:
+                return False
+            seen.add(key)
+    return True
+
+
+def random_embedding_case(rng):
+    """A small host and target at k = 3 or 4.  Dense hosts and targets
+    are not partial systems; a target may leave vertices isolated, and
+    with `first` > 1 its first vertices lie in no edge."""
+    k = rng.choice((3, 4))
+    v = rng.randint(k, 11)
+    host = OrderedHypergraph(
+        v, _random_edges(rng, range(1, v + 1), k, rng.choice((0.1, 0.3, 0.6)))
+    )
+    tv = rng.randint(k, 7)
+    first = rng.choice((1, 1, 2, 3)) if tv - k >= 2 else 1
+    vertices = range(first, tv + 1)
+    edges = _random_edges(rng, vertices, k, rng.choice((0.2, 0.5)))
+    if not edges:
+        edges = (tuple(sorted(rng.sample(vertices, k))),)
+    return host, OrderedHypergraph(tv, edges)
+
+
+def seeded_ordering(system, seed):
+    rng = random.Random(f"ordered-copy-oracle:{seed}")
+    ordering = list(range(1, system.vertex_count + 1))
+    rng.shuffle(ordering)
+    return ordering_as_hypergraph(system, ordering)
+
+
+class TestOrderedCopyMatchesOracle:
+    """`find_ordered_copy` returns exactly what scanning every host
+    position returns: the least image tuple, or None."""
+
+    def test_seeded_small_hosts(self):
+        kinds = set()
+        rng = random.Random(20261018)
+        for _ in range(400):
+            host, target = random_embedding_case(rng)
+            expected = find_ordered_copy_by_scan(host, target)
+            assert find_ordered_copy(host, target) == expected, (host, target)
+            k = len(target.edges[0])
+            covered = {p for e in target.edges for p in e}
+            kinds.add("found" if expected is not None else "none")
+            kinds.add(f"k={k}")
+            if not _is_partial(host, k):
+                kinds.add("non-partial host")
+            if not _is_partial(target, k):
+                kinds.add("non-partial target")
+            if len(covered) < target.v:
+                kinds.add("isolated target vertex")
+            if 1 not in covered:
+                kinds.add("first target vertex in no edge")
+        assert kinds == {
+            "found", "none", "k=3", "k=4", "non-partial host", "non-partial target",
+            "isolated target vertex", "first target vertex in no edge",
+        }
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32))
+    def test_random_small_hosts(self, seed):
+        host, target = random_embedding_case(random.Random(seed))
+        assert find_ordered_copy(host, target) == find_ordered_copy_by_scan(host, target)
+
+    def test_blowup_orderings(self):
+        system = build_blowup(3, 3, (1, 2), m=3)
+        spec = FamilySpec(3, 3, (1, 2), FLAVOR_G)
+        targets = [canonical_member(spec.with_flavor(fl)) for fl in (FLAVOR_G, FLAVOR_REVG)]
+        outcomes = set()
+        for seed in range(60):
+            host = seeded_ordering(system, seed)
+            for target in targets:
+                expected = find_ordered_copy_by_scan(host, target)
+                assert find_ordered_copy(host, target) == expected, (seed, target)
+                outcomes.add(expected is None)
+        assert outcomes == {True, False}
+
+    def test_glued_system_ordering(self):
+        # 871 vertices and 15,678 edges; the scan takes about a second.
+        glued = assemble_h(build_blowup(3, 3, (1, 2), m=3), build_projective_plane(29), seed=0)
+        host = seeded_ordering(glued, 0)
+        spec = FamilySpec(3, 3, (1, 2), FLAVOR_G)
+        for flavor in (FLAVOR_G, FLAVOR_REVG):
+            target = canonical_member(spec.with_flavor(flavor))
+            expected = find_ordered_copy_by_scan(host, target)
+            assert expected is not None
+            assert find_ordered_copy(host, target) == expected
 
 
 def contains_by_enumeration(host, spec):

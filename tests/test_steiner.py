@@ -410,6 +410,42 @@ class TestOrderingExperiment:
         assert seq.found == par.found
         assert seq.failures == par.failures
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_fewer_than_one_worker(self, workers):
+        spec = FamilySpec(3, 3, (1, 2), FLAVOR_G)
+        with pytest.raises(ValueError, match="at least one worker"):
+            sample_ordering_and_search(toy_blowup(), spec, 2, 0, workers=workers)
+
+    @pytest.mark.parametrize(
+        "workers, trials, pool", [(100_000, 3, 3), (2, 5, 2), (3, 3, 3), (5, 1, None)]
+    )
+    def test_pool_never_exceeds_trials(self, monkeypatch, workers, trials, pool):
+        # The pool is replaced by an in-process stand-in that records its
+        # size, so no large worker count ever starts a process.
+        import concurrent.futures
+
+        asked = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        spec = FamilySpec(3, 3, (1, 2), FLAVOR_G)
+        report = sample_ordering_and_search(toy_blowup(), spec, trials, 5, workers=workers)
+        assert asked == ([] if pool is None else [pool])
+        sequential = sample_ordering_and_search(toy_blowup(), spec, trials, 5)
+        assert (report.found, report.failures) == (sequential.found, sequential.failures)
+
     def test_failures_replay(self):
         from treeramsey import canonical_member, find_ordered_copy
 
