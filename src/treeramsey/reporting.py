@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import sys
@@ -44,17 +45,35 @@ def dump_json(obj: dict) -> str:
 _RECORD = json.JSONEncoder(sort_keys=True)
 
 
+def _int_records(items: list) -> bool:
+    """True when every item is a list of ints, or every item a list of
+    lists of ints, by exact type (so no bool, IntEnum or float): then
+    repr writes each item as the encoder would."""
+    flat = itertools.chain.from_iterable
+    if set(map(type, items)) != {list}:
+        return False
+    kinds = set(map(type, flat(items)))
+    if kinds == {list}:
+        kinds = set(map(type, flat(flat(items))))
+    return kinds <= {int}
+
+
 def dump_records(obj: dict) -> str:
     """Data-file serialization: one top-level key per line, sorted, and
     each item of a top-level list on a line of its own, as compact JSON
-    with sorted keys.  Parses to obj, as dump_json does."""
+    with sorted keys.  Parses to obj, as dump_json does.
+
+    A list whose items are all int lists (edges, plane lines) or all
+    lists of int lists (provenance) takes the C-speed path: each item is
+    written by repr, with no per-item encoder call.  Every other list
+    goes through the encoder item by item; the bytes are the same."""
     fields = []
     for key in sorted(obj):
         value = obj[key]
         head = json.dumps(key) + ": "
         if isinstance(value, list) and value:
-            records = ",\n".join(map(_RECORD.encode, value))
-            fields.append(head + "[\n" + records + "\n]")
+            encode = repr if _int_records(value) else _RECORD.encode
+            fields.append(head + "[\n" + ",\n".join(map(encode, value)) + "\n]")
         else:
             fields.append(head + _RECORD.encode(value))
     return "{\n" + ",\n".join(fields) + "\n}\n"

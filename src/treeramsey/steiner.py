@@ -50,10 +50,16 @@ MC_SCHEMA = "treeramsey/mc-report/1"
 
 def _shuffled(items: list, rng: random.Random) -> list:
     # Explicit Fisher-Yates so the draw sequence is pinned by this code,
-    # not by the stdlib's shuffle implementation.
+    # not by the stdlib's shuffle implementation.  Each j in [0, i] is
+    # drawn as randrange(i + 1) draws it: getrandbits of i+1's bit
+    # length until the draw is at most i.
     out = list(items)
+    getrandbits = rng.getrandbits
     for i in range(len(out) - 1, 0, -1):
-        j = rng.randrange(i + 1)
+        bits = (i + 1).bit_length()
+        j = getrandbits(bits)
+        while j > i:
+            j = getrandbits(bits)
         out[i], out[j] = out[j], out[i]
     return out
 
@@ -214,7 +220,8 @@ class ProjectivePlane:
         """Read a plane document; raise unless it is a valid plane."""
         doc = check_schema(obj, PLANE_SCHEMA, {"order": int, "points": int, "lines": list})
         lines = doc["lines"]
-        if not all(type(line) is list and all(type(x) is int for x in line) for line in lines):
+        flat = itertools.chain.from_iterable
+        if set(map(type, lines)) - {list} or set(map(type, flat(lines))) - {int}:
             raise ValueError("plane lines must be integer lists")
         plane = cls(doc["order"], tuple(map(tuple, lines)))
         if doc["points"] != plane.num_points:
@@ -275,8 +282,8 @@ def validate_projective_plane(plane: ProjectivePlane) -> None:
         raise ValueError(f"{len(plane.lines)} lines, expected {N}")
     through: list[list[int]] = [[] for _ in range(N + 1)]
     for line in plane.lines:
-        if len(line) != p + 1 or line[0] < 1 or line[-1] > N or any(
-            a >= b for a, b in zip(line, line[1:])
+        if len(line) != p + 1 or line[0] < 1 or line[-1] > N or not all(
+            map(operator.lt, line, line[1:])
         ):
             raise ValueError(f"line {line} is not {p + 1} increasing points in [1, {N}]")
         mask = sum(1 << x for x in line)  # distinct points: the sum is the OR
@@ -294,12 +301,45 @@ class SteinerWitness(NamedTuple):
     shared: tuple[int, ...]
 
 
+def _ell_sets_distinct(edges: list, ell: int) -> bool:
+    """Whether no ell-subset (as combinations() yields it) repeats among
+    the distinct edges, decided without building a tuple when ell >= 1
+    and the edges are ints of one length k; False for any other input.
+
+    Column j holds each edge's j-th vertex.  The subset at positions
+    j_1 < ... < j_ell is keyed by the int x_{j_1} * B**(ell-1) + ... +
+    x_{j_ell}, B the largest vertex + 1.  Equal subsets get equal keys,
+    so len(edges) * comb(k, ell) distinct keys mean distinct subsets
+    (for vertices in [0, B) the converse holds too)."""
+    lengths = set(map(len, edges))
+    kinds = set(map(type, itertools.chain.from_iterable(edges)))
+    if ell < 1 or len(lengths) != 1 or kinds - {int}:
+        return False
+    k = lengths.pop()
+    columns = [list(map(operator.itemgetter(j), edges)) for j in range(k)]
+    base = itertools.repeat(max(map(max, columns)) + 1)
+    keys: set[int] = set()
+    for first, *rest in itertools.combinations(range(k), ell):
+        key = columns[first]
+        for j in rest:
+            key = map(operator.add, map(operator.mul, key, base), columns[j])
+        keys.update(key)
+    return len(keys) == len(edges) * math.comb(k, ell)
+
+
 def is_partial_steiner(edges, ell: int) -> Optional[SteinerWitness]:
     """Least pair of edges sharing an ell-subset, or None when the
-    edges (a system's `edges`) form a partial (k, ell)-system."""
+    edges (a system's `edges`) form a partial (k, ell)-system.
+
+    Copies of one edge do not collide.  When the distinct edges'
+    ell-sets are all distinct, which `_ell_sets_distinct` shows by one
+    set-size comparison, the answer is None; the per-subset scan for the
+    least witness runs only otherwise."""
     edges = sorted(edges)
     if edges and ell >= len(edges[0]):
         raise ValueError(f"ell must be below the uniformity, got {ell}")
+    if _ell_sets_distinct(list(dict.fromkeys(map(tuple, edges))), ell):
+        return None
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
     collisions = []
     for e in edges:
@@ -335,9 +375,12 @@ class SteinerSystem:
             "schema": SYSTEM_SCHEMA,
             "v": self.v,
             "k": self.k,
-            "edges": [list(e) for e in self.edges],
+            "edges": list(map(list, self.edges)),
+            # an inner comprehension costs a call per edge; most edges have one copy
             "provenance": [
-                [[line, *src] for line, src in self.provenance[e]] for e in self.edges
+                [[line, *src] for line, src in copies] if len(copies) > 1
+                else [[copies[0][0], *copies[0][1]]]
+                for copies in map(self.provenance.__getitem__, self.edges)
             ] if self.provenance else [],
         }
 
@@ -348,8 +391,9 @@ def assemble_h(system, plane: ProjectivePlane, seed: int) -> SteinerSystem:
     The system is padded with isolated vertices up to p, then each line
     receives it through a seeded random injection of [p] into the
     line's p+1 points (per-line sub-seeds are derived by counter, so
-    line iteration order does not matter).  Duplicate edges across
-    lines cannot arise (two lines share one point) but would be merged.
+    line iteration order does not matter).  For k >= 2, duplicate edges
+    across lines cannot arise (two lines share one point); images that
+    do coincide, as at k = 1, are merged, their copies kept in line order.
     """
     p = plane.order
     v_sys = system.vertex_count
@@ -358,15 +402,27 @@ def assemble_h(system, plane: ProjectivePlane, seed: int) -> SteinerSystem:
             f"plane of order {p} is too small for a system on {v_sys} vertices"
         )
     edges = system.edges
-    merged: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
+    # one getter of each edge's zero-based positions, made once; itemgetter
+    # of a single index returns the bare item, so shorter edges use a slice
+    getters = [
+        operator.itemgetter(*(v - 1 for v in e)) if len(e) > 1
+        else operator.itemgetter(slice(e[0] - 1, e[0]) if e else slice(0))
+        for e in edges
+    ]
+    images: list[tuple[int, ...]] = []
+    sources: list[tuple[int, tuple[int, ...]]] = []
     for line_id, line in enumerate(plane.lines):
         rng = random.Random(f"assemble:{seed}:{line_id}")
         placed = _shuffled(list(line), rng)  # positions 0..p-1 host vertices 1..p
-        for e in edges:
-            image = tuple(sorted(placed[v - 1] for v in e))
-            merged.setdefault(image, []).append((line_id, e))
-    out_edges = tuple(sorted(merged))
-    provenance = {e: tuple(sources) for e, sources in merged.items()}
+        images += [tuple(sorted(image_of(placed))) for image_of in getters]
+        sources += zip(itertools.repeat(line_id), edges)
+    provenance = dict(zip(images, zip(sources)))  # one copy per image
+    if len(provenance) < len(images):  # some images coincide: keep all their copies
+        merged: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
+        for image, source in zip(images, sources):
+            merged.setdefault(image, []).append(source)
+        provenance = {e: tuple(copies) for e, copies in merged.items()}
+    out_edges = tuple(sorted(provenance))
     return SteinerSystem(plane.num_points, system.k, out_edges, provenance)
 
 
@@ -478,6 +534,31 @@ def sample_ordering_and_search(
     return MonteCarloReport(spec, trials, seed, found, tuple(failures), tuple(trial_ms))
 
 
+def _sorted_edges(edges: list, k: int, v: int) -> Optional[list]:
+    """The edges as sorted tuples, in order, when every edge is a list of
+    k distinct ints (by exact type, so no bool) in [1, v]; else None.
+    Checked over all edges at once at C speed: once each edge is sorted,
+    the first column holds every edge's least vertex, the last its
+    largest, and an edge's vertices are distinct when each column is
+    below the next."""
+    if (
+        set(map(type, edges)) - {list}
+        or set(map(len, edges)) - {k}
+        or set(map(type, itertools.chain.from_iterable(edges))) - {int}
+    ):
+        return None
+    edges = sorted(map(tuple, map(sorted, edges)))
+    # zip(*edges) would make an iterator per edge; itemgetter makes none
+    columns = [list(map(operator.itemgetter(j), edges)) for j in range(k)] if edges else []
+    if columns and (
+        min(columns[0]) < 1
+        or max(columns[-1]) > v
+        or not all(all(map(operator.lt, a, b)) for a, b in zip(columns, columns[1:]))
+    ):
+        return None
+    return edges
+
+
 def read_system(path) -> BlowupSystem | SteinerSystem:
     """Load a system file: a positive integer v, an integer k, edges, a
     list of k-lists of distinct integers in [1, v], optional provenance,
@@ -485,7 +566,9 @@ def read_system(path) -> BlowupSystem | SteinerSystem:
     k, m and a list of integers I.  With params the file must hold
     exactly that blow-up, which is returned; sizes are compared before
     edges, so params cannot force a large blow-up to be built.
-    Otherwise it is a SteinerSystem."""
+    Otherwise it is a SteinerSystem.  The edges are checked all at once
+    at C speed; only when that check fails are they checked one by one,
+    so that the error names the first bad edge."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = check_schema(
             json.load(fh), SYSTEM_SCHEMA, {"v": int, "k": int, "edges": list},
@@ -494,17 +577,18 @@ def read_system(path) -> BlowupSystem | SteinerSystem:
     v, k = doc["v"], doc["k"]
     if v < 1:
         raise ValueError(f"system v must be a positive integer, got {v}")
-    edges = []
-    for e in doc["edges"]:
-        if not (
-            type(e) is list
-            and len(e) == k
-            and all(type(x) is int and 1 <= x <= v for x in e)
-            and len(set(e)) == k
-        ):
-            raise ValueError(f"edge {e!r} is not {k} distinct vertices in [1, {v}]")
-        edges.append(tuple(sorted(e)))
-    edges.sort()
+    edges = _sorted_edges(doc["edges"], k, v)
+    if edges is None:
+        bad = next(
+            e for e in doc["edges"]
+            if not (
+                type(e) is list
+                and len(e) == k
+                and all(type(x) is int and 1 <= x <= v for x in e)
+                and len(set(e)) == k
+            )
+        )
+        raise ValueError(f"edge {bad!r} is not {k} distinct vertices in [1, {v}]")
     params = doc.get("params")
     if params is None:
         return SteinerSystem(v, k, tuple(edges), {})

@@ -1,6 +1,7 @@
 """Exit-code contract, stderr JSON errors, and manifest reproducibility."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -592,6 +593,32 @@ class TestMalformedSteinerFiles:
         assert run(argv) == 2
         assert "params" in json.loads(capsys.readouterr().err)["error"]
 
+    @pytest.fixture(scope="class")
+    def glued_doc(self):
+        from treeramsey import assemble_h, build_blowup, build_projective_plane
+
+        return assemble_h(build_blowup(3, 3, (1, 2), 3), build_projective_plane(29), 99).to_json()
+
+    # the glued (3,3,3) system at p = 29 ends in the edge [861, 868, 870]
+    @pytest.mark.parametrize("bad,message", [
+        ([861, True, 870], "edge [861, True, 870]"),
+        ([0, 868, 870], "edge [0, 868, 870]"),
+        ([861, 868, 872], "edge [861, 868, 872]"),
+        ([861, 868, 868], "edge [861, 868, 868]"),
+        ([861, 868], "edge [861, 868]"),
+        ([861, "1", 870], "edge [861, '1', 870]"),
+        (5, "edge 5"),
+    ], ids=["true", "zero", "v-plus-one", "repeated", "too-short", "string", "not-a-list"])
+    def test_bad_last_edge_of_a_large_file(self, tmp_path, capsys, glued_doc, bad, message):
+        from treeramsey.reporting import dump_records
+
+        assert glued_doc["edges"][-1] == [861, 868, 870]
+        path = tmp_path / "h.json"
+        path.write_text(dump_records(dict(glued_doc, edges=glued_doc["edges"][:-1] + [bad])))
+        assert run(["steiner", "check", "--file", str(path), "--ell", "2"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == message + " is not 3 distinct vertices in [1, 871]"
+
 
 class TestMalformedHypergraphFile:
     @pytest.mark.parametrize(
@@ -893,3 +920,77 @@ class TestReproducibility:
         assert (tmp_path / "a" / "report.json").read_bytes() == (
             tmp_path / "b" / "report.json"
         ).read_bytes()
+
+    # sha256 of system.json, plane.json, glued.json and the check report of
+    # `steiner blowup -> plane --order 29 -> assemble --seed 99 -> check`
+    PINNED_CHAIN = {
+        (3, 3, 3): ("9fe9be2361fffaed85eafe6026cd121827216bb6dc609518e10ef95a9beaa30c",
+                    "f5f3be6e7b859ff10f87cd303336a93963a9f2fc8a1f5864e2b17d50b7a78059",
+                    "f6b7591f5112f234d530e7c2f9b98f24ce99440606451cf52461cdad45a643b3",
+                    "983ad63987c10162dbeaf793650fdf738de1d083ecb81a17ec9a20a57fb070d0"),
+        (4, 3, 2): ("93067064fe021dbc9609043ef118dde2a353ff4c728e6d350d3645243b9ca1c3",
+                    "f5f3be6e7b859ff10f87cd303336a93963a9f2fc8a1f5864e2b17d50b7a78059",
+                    "7794eae4dc62fc7087445258bbff1948de0c83ad31a771a4552476d9215338a1",
+                    "983ad63987c10162dbeaf793650fdf738de1d083ecb81a17ec9a20a57fb070d0"),
+        (4, 4, 2): ("9dd7b673a004216e4f547389a76d32049aaaa283728624d76487d354936075f2",
+                    "f5f3be6e7b859ff10f87cd303336a93963a9f2fc8a1f5864e2b17d50b7a78059",
+                    "0ac391560327735f92a6656f3ccef8158dc2b0e80593b8b135b3f1cb0dd294cc",
+                    "1d11dae16c6d479cbb2c056fd5390c9c8ae86ca7ca6fdb569af81dcfc83b0980"),
+    }
+
+    @pytest.mark.parametrize("n,k,m", sorted(PINNED_CHAIN))
+    def test_steiner_chain_bytes_pinned(self, tmp_path, capsys, n, k, m):
+        files = [tmp_path / name for name in
+                 ("system.json", "plane.json", "glued.json", "check/report.json")]
+        system, plane, glued, _ = map(str, files)
+        I = ",".join(map(str, range(1, k)))
+        assert run(["steiner", "blowup", "--n", str(n), "--k", str(k), "--I", I,
+                    "--m", str(m), "--out-file", system]) == 0
+        assert run(["steiner", "plane", "--order", "29", "--out-file", plane]) == 0
+        assert run(["steiner", "assemble", "--system", system, "--plane", plane,
+                    "--seed", "99", "--out-file", glued]) == 0
+        assert run(["steiner", "check", "--file", glued, "--ell", str(k - 1),
+                    "--out", str(tmp_path / "check")]) == 0
+        digests = tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in files)
+        assert digests == self.PINNED_CHAIN[n, k, m]
+        if (n, k, m) == (3, 3, 3):
+            # mc run reads the glued file through the same reader
+            assert run(["mc", "run", "--system", glued, "--k", "3", "--n", "3",
+                        "--I", "1,2", "--trials", "3", "--seed", "11",
+                        "--out", str(tmp_path / "mc")]) in (0, 1)
+            report = (tmp_path / "mc" / "report.json").read_bytes()
+            assert hashlib.sha256(report).hexdigest() == (
+                "50c2bbbb3ebcdc6a75662c98e9abd307b8e762b89886ae869a33defe8908c860"
+            )
+
+    @pytest.mark.parametrize("k,v,edges,order,digest,copies", [
+        # at k = 1 the images of many lines meet: one edge per point,
+        # each with several provenance copies
+        (1, 3, [[1], [2], [3]], 3,
+         "0cd132fa7d7ef765886fbc2dd661ef870d75c82d90f2e857e700451730e495d4", 4),
+        (2, 4, [[1, 2], [2, 3], [3, 4], [1, 4]], 5,
+         "f8e491bfefe26565a1f535487f5151ebb837af2f725ed90fc65443258b60a822", 1),
+    ], ids=["k1", "k2"])
+    def test_assembly_at_low_uniformity(self, tmp_path, capsys, k, v, edges, order,
+                                        digest, copies):
+        from treeramsey import assemble_h, build_projective_plane
+        from treeramsey.steiner import SYSTEM_SCHEMA, read_system
+
+        system, plane, glued = (str(tmp_path / name)
+                                for name in ("s.json", "plane.json", "h.json"))
+        with open(system, "w", encoding="utf-8") as fh:
+            json.dump({"schema": SYSTEM_SCHEMA, "v": v, "k": k, "edges": edges}, fh)
+        assert run(["steiner", "plane", "--order", str(order), "--out-file", plane]) == 0
+        assert run(["steiner", "assemble", "--system", system, "--plane", plane,
+                    "--seed", "5", "--out-file", glued]) == 0
+        with open(glued, "rb") as fh:
+            text = fh.read()
+        assert hashlib.sha256(text).hexdigest() == digest
+        expected = assemble_h(read_system(system), build_projective_plane(order), 5)
+        doc = json.loads(text)
+        decoded = {
+            tuple(e): tuple((c[0], tuple(c[1:])) for c in sources)
+            for e, sources in zip(doc["edges"], doc["provenance"])
+        }
+        assert decoded == expected.provenance
+        assert max(map(len, expected.provenance.values())) == copies

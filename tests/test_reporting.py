@@ -1,5 +1,6 @@
 """Tower values, manifests, and schema checking."""
 
+import enum
 import json
 import os
 
@@ -99,9 +100,23 @@ def records_oracle(doc: dict) -> str:
     return "{\n" + ",\n".join(fields) + "\n}\n"
 
 
+class _Level(enum.IntEnum):
+    ONE = 1
+
+
 class TestRecords:
     @settings(max_examples=400, deadline=None)
     @given(_DOCS)
+    # on the edge of the repr path: int lists but for one bool, float,
+    # IntEnum or empty record, a list mixing ints and int lists, and
+    # provenance-shaped lists of int lists, one holding a bool
+    @example({"edges": [[1, 2], [3, True]]})
+    @example({"edges": [[1, 2], [1.0, 3]]})
+    @example({"edges": [[1, _Level.ONE], [2, 3]]})
+    @example({"edges": [[], [1, 2]]})
+    @example({"a": [1, [2, 3], 4, [5]]})
+    @example({"provenance": [[[0, 1, 2, 3]], [[1, 4, 5, 6], [2, 7, 8, 9]]]})
+    @example({"provenance": [[[0, 1, 2, 3]], [[1, 4, True, 6]]]})
     @example({"a": [["], ["], [1]], "b": [[[1], [2]], [[3]]], "c": [[], [[]]]})
     @example({"a": [[[1, 2]], [[3], [4]]], "b": [1, [2], "], ["]})
     def test_round_trip_one_item_per_line(self, doc):

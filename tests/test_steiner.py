@@ -31,6 +31,8 @@ from treeramsey.steiner import (
     read_system,
 )
 
+from partial_steiner_oracle import is_partial_steiner as partial_steiner_oracle
+
 PRIMES_TO_31 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 
@@ -275,6 +277,52 @@ class TestPartialSteiner:
         shuffled = ordering_as_hypergraph(system, ordering)
         assert is_partial_steiner(shuffled.edges, 2) is None
 
+    def test_copies_of_an_edge_do_not_collide(self):
+        edges = [(1, 2, 3), (4, 5, 6), (1, 2, 3), (1, 2, 3)]
+        assert is_partial_steiner(edges, 2) is None
+        assert partial_steiner_oracle(edges, 2) is None
+
+    def test_least_of_several_collisions(self):
+        edges = [(3, 4, 5), (2, 4, 5), (1, 2, 6), (1, 2, 7), (1, 3, 4), (1, 2, 6)]
+        assert is_partial_steiner(edges, 2) == partial_steiner_oracle(edges, 2) == (
+            SteinerWitness((1, 2, 6), (1, 2, 7), (1, 2))
+        )
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_oracle_seeded(self, seed):
+        rng = random.Random(f"partial-steiner:{seed}")
+        k = rng.choice((3, 4))
+        low = rng.choice((1, 0, -3))  # vertices below 1 may give keys that collide
+        v = rng.randint(k, 9)
+        edges = [tuple(sorted(rng.sample(range(low, v + 1), k)))
+                 for _ in range(rng.randint(0, 8))]
+        edges += rng.choices(edges, k=rng.randint(0, 3)) if edges else []
+        for ell in range(k):
+            assert is_partial_steiner(edges, ell) == partial_steiner_oracle(edges, ell)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from((3, 4)).flatmap(lambda k: st.tuples(
+        st.just(k),
+        st.lists(st.lists(st.integers(-2, 8), min_size=k, max_size=k, unique=True)
+                 .map(lambda e: tuple(sorted(e))), max_size=10),
+        st.integers(0, k - 1),
+    )))
+    def test_matches_oracle(self, case):
+        k, edges, ell = case
+        edges = edges + edges[::3]  # copies of edges, which are no collision
+        assert is_partial_steiner(edges, ell) == partial_steiner_oracle(edges, ell)
+
+    @pytest.mark.parametrize("edges,ell", [
+        ([(1, 2, 3), (1, 2), (2, 3, 4)], 1),  # edges of two lengths
+        ([(1, 2, 3), (1, 2, 4)], 1),
+        ([(True, 2, 3), (1, 2, 4)], 1),  # True == 1 as a vertex, as in the oracle
+        ([[1, 2, 3], [4, 5, 6], [1, 2, 3]], 2),  # list edges, one copied
+        ([("a", "b", "c"), ("a", "b", "d")], 2),
+        ([(1, 2, 3), (4, 5, 6)], 0),
+    ])
+    def test_other_inputs_match_oracle(self, edges, ell):
+        assert is_partial_steiner(edges, ell) == partial_steiner_oracle(edges, ell)
+
 
 class TestAssembly:
     def test_toy_gluing(self):
@@ -372,6 +420,26 @@ class TestReadSystem:
         )
         with pytest.raises(ValueError, match="params"):
             read_system(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_bulk_edge_check_matches_edge_by_edge(self, data):
+        k = data.draw(st.integers(0, 4))
+        v = data.draw(st.integers(max(k, 1), 7))
+        edges = data.draw(st.lists(
+            st.lists(st.integers(1, v), min_size=k, max_size=k, unique=True), max_size=6,
+        ))
+        vertex = st.integers(-1, v + 1) | st.booleans() | st.just(1.0) | st.just("1")
+        bad = data.draw(st.none() | st.integers(0, 3) | st.lists(vertex, max_size=5))
+        if bad is not None:
+            edges.insert(data.draw(st.integers(0, len(edges))), bad)
+
+        def good(e):
+            return (type(e) is list and len(e) == k and len(set(e)) == k
+                    and all(type(x) is int and 1 <= x <= v for x in e))
+
+        expected = sorted(tuple(sorted(e)) for e in edges) if all(map(good, edges)) else None
+        assert steiner._sorted_edges(edges, k, v) == expected
 
 
 class TestOrderingExperiment:
