@@ -50,6 +50,19 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+def _budget(convert):
+    """An argparse type: `convert`, then refuse NaN, infinities and negatives."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not 0 <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"expected a finite value >= 0, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # for argparse's "invalid int value"
+    return parse
+
+
 # Parsed attributes that are not options of the run itself.
 _NOT_PARAMS = {"group", "command", "handler", "out", "seed", "_start"}
 
@@ -370,8 +383,8 @@ def build_parser() -> _Parser:
         k=dict(type=int, default=None, help="target uniformity with --base (default 3)"),
         n=dict(type=int, required=True),
         I=dict(type=_int_list, required=True),
-        max_nodes=dict(type=int, default=None),
-        max_seconds=dict(type=float, default=None),
+        max_nodes=dict(type=_budget(int), default=None),
+        max_seconds=dict(type=_budget(float), default=None),
     )
 
     family = parser_sub(sub, "family")
@@ -457,7 +470,7 @@ def main(argv=None) -> int:
     args._start = time.monotonic()
     try:
         return args.handler(args)
-    except (ValueError, OverflowError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, OSError, KeyError, RecursionError) as exc:
         sys.stderr.write(dump_json({"error": str(exc)}))
         return EXIT_USAGE
 

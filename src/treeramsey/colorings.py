@@ -84,7 +84,11 @@ class BaseColoring:
             )
         if len(set(s)) != len(s) or s[0] < 1 or s[-1] > self.ground_size:
             raise ValueError(f"{subset} is not a subset of [{self.ground_size}]")
-        return self.table[colex_rank(s)]
+        return self._eval(s)
+
+    def _eval(self, elems: tuple[int, ...]) -> int:
+        # Callers guarantee a sorted, in-range, duplicate-free tuple.
+        return self.table[colex_rank(elems)]
 
     @classmethod
     def from_function(cls, uniformity, ground_size, palette, fn) -> "BaseColoring":
@@ -114,7 +118,7 @@ class SteppedColoring:
     )
 
     def __post_init__(self):
-        if self.uniformity == 3 and self.inner_palette != BINARY:
+        if self.uniformity == 3 and self.inner.palette != BINARY:
             raise ValueError("uniformity-3 stepping requires a binary inner coloring")
 
     @property
@@ -128,10 +132,6 @@ class SteppedColoring:
     @property
     def ground_size(self) -> int:
         return 1 << self.inner.ground_size
-
-    @property
-    def inner_palette(self) -> str:
-        return self.inner.palette if isinstance(self.inner, BaseColoring) else Z4
 
     @property
     def palette(self) -> str:
@@ -172,13 +172,7 @@ class SteppedColoring:
             a < b for a, b in zip(levels, levels[1:])
         )
         if decreasing or increasing:
-            proj = tuple(sorted(levels))
-            inner = self.inner
-            c = (
-                inner.table[colex_rank(proj)]
-                if isinstance(inner, BaseColoring)
-                else inner._eval(proj)
-            )
+            c = self.inner._eval(tuple(sorted(levels)))
             # k = 3 gives a left (decreasing) comb c; k >= 4 swaps
             color = c if decreasing == (k == 3) else 3 - c
         else:

@@ -190,22 +190,6 @@ class OrderedHypergraph:
                 through[p].append(e)
         return tuple(map(tuple, through))
 
-    @functools.cached_property
-    def completions(self) -> dict[tuple[int, ...], list[int]]:
-        """Each edge minus one vertex, mapped to every vertex that
-        completes it to an edge, in increasing order.
-
-        In a partial (k, k-1)-system each list has one vertex; other
-        hypergraphs may have several.  Edges are visited in sorted
-        order, and for a set K and c < c' the sorted edge K + {c}
-        precedes K + {c'}, so each list is built increasing.
-        """
-        out: dict[tuple[int, ...], list[int]] = {}
-        for e in sorted(self.edges):
-            for i, c in enumerate(e):
-                out.setdefault(e[:i] + e[i + 1 :], []).append(c)
-        return out
-
     def to_json(self) -> dict:
         out = {
             "schema": HYPERGRAPH_SCHEMA,

@@ -636,32 +636,33 @@ def find_ordered_copy(
     previous one and low enough to leave room for the rest.  A candidate
     needs at least the target vertex's degree, and every target edge
     whose largest vertex is i is checked against the host once i is
-    placed.  The candidates for i are drawn from the host's views
-    (`OrderedHypergraph.incidence` and `completions`), which are cached
-    on the host and so built once for every target embedded into it:
+    placed.  The candidates for i are drawn from the host's incidence
+    lists (`OrderedHypergraph.incidence`), which are cached on the host
+    and so built once for every target embedded into it:
 
     * Forced last vertex.  When i is the largest vertex of a target edge,
-      the edge's other vertices are placed, so the image of i must
-      complete their images to a host edge: the candidates are the
-      completions of that (k-1)-set.  In a partial (k, k-1)-system,
-      where k-1 vertices lie in at most one edge, there is at most one.
+      the image of i must complete the images `key` of the edge's other
+      vertices to a host edge, from above: the candidates are the last
+      vertices of the host edges through key[-1] that begin with `key`,
+      found once per key and call.  In a partial (k, k-1)-system there
+      is at most one.
     * Neighbour restriction.  Otherwise, when i shares an edge with
       earlier target vertices, its image must share a host edge with
       each of their images.
     * A vertex with no earlier neighbour scans every position in range.
 
     Why the image stays least: each rule drops only positions that no
-    embedding of the placed prefix can use, so the candidates of i
-    include every position a scan of the whole range would accept, and
-    they are tried in increasing order.  The depth-first search
-    therefore returns the lexicographically least image tuple, the one
-    that scanning every host position returns.
+    embedding of the placed prefix can use (a completion of `key` below
+    key[-1] is below the range too), so the candidates of i include
+    every position a scan of the whole range would accept, and they are
+    tried in increasing order.  The depth-first search therefore returns
+    the lexicographically least image tuple, the one that scanning every
+    host position returns.
     """
     if not target.edges:
         raise ValueError("target must have at least one edge")
     host_edges = host.edge_set
     incidence = host.incidence
-    completions = host.completions
     hv, tv = host.v, target.v
     target_deg = [len(through) for through in target.incidence]
     edges_by_max: list[list[tuple[int, ...]]] = [[] for _ in range(tv + 1)]
@@ -673,6 +674,7 @@ def find_ordered_copy(
 
     image = [0] * (tv + 1)
     near: dict[int, frozenset[int]] = {}
+    forced: dict[tuple[int, ...], list[int]] = {}
 
     def neighbours(u):
         """u and every host vertex that shares an edge with it."""
@@ -683,7 +685,10 @@ def find_ordered_copy(
     def candidates(i, lo, hi):
         if edges_by_max[i]:
             key = tuple(image[p] for p in edges_by_max[i][0][:-1])
-            return [c for c in completions.get(key, ()) if lo <= c <= hi]
+            if key not in forced:
+                through = incidence[key[-1]] if key else host.edges
+                forced[key] = sorted(e[-1] for e in through if e[:-1] == key)
+            return [c for c in forced[key] if lo <= c <= hi]
         if earlier[i]:
             common = frozenset.intersection(*(neighbours(image[j]) for j in earlier[i]))
             return sorted(c for c in common if lo <= c <= hi)

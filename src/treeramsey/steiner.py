@@ -518,7 +518,6 @@ def sample_ordering_and_search(
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_ordering_trial, tasks))
-    results.sort(key=lambda r: r[0])
 
     found = {FLAVOR_G: 0, FLAVOR_REVG: 0}
     failures = []

@@ -1,7 +1,7 @@
 """The position-scanning ordered embedding, kept as an independent reference.
 
 `find_ordered_copy` draws the candidates for each target vertex from
-the host's (k-1)-set map and adjacency.  This module keeps the search
+the host's incidence lists.  This module keeps the search
 that scans every host position for each target vertex and filters only
 by degree and by the edges closed so far.  It shares no candidate
 generation with the package's search, so equal results (the least

@@ -119,6 +119,20 @@ class TestExitCodes:
         report = json.loads((out / "report.json").read_text())
         assert report["status"] == "indeterminate"
 
+    @pytest.mark.parametrize("option,value", [
+        ("--max-seconds", "nan"), ("--max-seconds", "inf"), ("--max-seconds", "-1"),
+        ("--max-nodes", "-5"),
+    ])
+    def test_bad_budget_is_refused(self, c4_file, tmp_path, capsys, option, value):
+        out = tmp_path / "run"
+        code = run(
+            ["stepup", "verify", "--base", c4_file, "--k", "3", "--n", "4",
+             "--I", "1,2", option, value, "--out", str(out)]
+        )
+        assert code == 2
+        assert option in json.loads(capsys.readouterr().err)["error"]
+        assert not out.exists()
+
     def test_mono_witness_run(self, tmp_path, capsys):
         path = tmp_path / "z.coloring"
         write_coloring(all_zero_coloring(4), path)
@@ -193,8 +207,9 @@ class TestFrontier:
     def test_mc_run_on_k4_glued_completes(self, tmp_path, capsys):
         # The glued (4,4,2) system at p = 29: 871 vertices, 13,936 edges.
         # Embedding the G members by scanning every host position does
-        # not finish a trial in minutes; through the (k-1)-set map a
-        # trial takes well under a second.
+        # not finish a trial in minutes; drawing each edge's last vertex
+        # from the host's incidence lists, a trial takes well under a
+        # second.
         from treeramsey import FamilySpec, canonical_member, find_ordered_copy
         from treeramsey.steiner import _run_ordering_trial, ordering_as_hypergraph, read_system
 
@@ -747,6 +762,19 @@ class TestReaderFuzz:
         assert code == 2, (field, kind, mutated.get(field))
         assert json.loads(err)["error"]
 
+    def test_deeply_nested_field_exits_two(self, reader_cases):
+        # json.load gives up on the nesting with RecursionError
+        target, cases = reader_cases
+        deep = "[" * 100_000 + "]" * 100_000
+        for name, (doc, _, argv) in cases.items():
+            field = next(f for f in sorted(doc) if f != "schema")
+            text = json.dumps({**doc, field: "DEEP"}).replace('"DEEP"', deep)
+            with open(target, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            code, err = _run_quietly(argv(target))
+            assert code == 2, (name, field)
+            assert json.loads(err)["error"]
+
     def test_null_optional_field_reads_as_absent(self, reader_cases):
         target, cases = reader_cases
         for name, (doc, optional, argv) in cases.items():
@@ -938,6 +966,12 @@ class TestReproducibility:
                     "1d11dae16c6d479cbb2c056fd5390c9c8ae86ca7ca6fdb569af81dcfc83b0980"),
     }
 
+    # sha256 of the `mc run --trials 3 --seed 11` report on that glued.json
+    PINNED_MC = {
+        (3, 3, 3): "50c2bbbb3ebcdc6a75662c98e9abd307b8e762b89886ae869a33defe8908c860",
+        (4, 4, 2): "e111b6c05c5c04e3c36effdb9c61e2935ce4f07941e166966b3b3c5845f3eb2a",
+    }
+
     @pytest.mark.parametrize("n,k,m", sorted(PINNED_CHAIN))
     def test_steiner_chain_bytes_pinned(self, tmp_path, capsys, n, k, m):
         files = [tmp_path / name for name in
@@ -953,15 +987,13 @@ class TestReproducibility:
                     "--out", str(tmp_path / "check")]) == 0
         digests = tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in files)
         assert digests == self.PINNED_CHAIN[n, k, m]
-        if (n, k, m) == (3, 3, 3):
+        if (n, k, m) in self.PINNED_MC:
             # mc run reads the glued file through the same reader
-            assert run(["mc", "run", "--system", glued, "--k", "3", "--n", "3",
-                        "--I", "1,2", "--trials", "3", "--seed", "11",
+            assert run(["mc", "run", "--system", glued, "--k", str(k), "--n", str(n),
+                        "--I", I, "--trials", "3", "--seed", "11",
                         "--out", str(tmp_path / "mc")]) in (0, 1)
             report = (tmp_path / "mc" / "report.json").read_bytes()
-            assert hashlib.sha256(report).hexdigest() == (
-                "50c2bbbb3ebcdc6a75662c98e9abd307b8e762b89886ae869a33defe8908c860"
-            )
+            assert hashlib.sha256(report).hexdigest() == self.PINNED_MC[n, k, m]
 
     @pytest.mark.parametrize("k,v,edges,order,digest,copies", [
         # at k = 1 the images of many lines meet: one edge per point,

@@ -592,6 +592,27 @@ class TestOrderedCopyMatchesOracle:
             assert expected is not None
             assert find_ordered_copy(host, target) == expected
 
+    @pytest.mark.parametrize("host,target,image", [
+        # (2, 3) is placed first and completed only by 1, below its images
+        (OrderedHypergraph(6, ((1, 2, 3), (3, 4, 5), (4, 5, 6))),
+         OrderedHypergraph(4, ((1, 2, 3), (2, 3, 4))),
+         (3, 4, 5, 6)),
+        # (1, 2) has two completions, and only the second leads to a copy
+        (OrderedHypergraph(7, ((1, 2, 3), (1, 2, 4), (4, 5, 6))),
+         OrderedHypergraph(5, ((1, 2, 3), (3, 4, 5))),
+         (1, 2, 4, 5, 6)),
+        # both completions of (1, 2) lead to a copy; edges listed unsorted
+        (OrderedHypergraph(7, ((1, 2, 4), (4, 5, 6), (1, 2, 3), (3, 4, 5))),
+         OrderedHypergraph(5, ((1, 2, 3), (3, 4, 5))),
+         (1, 2, 3, 4, 5)),
+        # 1-uniform: an edge's other vertices are none, so any host edge completes
+        (OrderedHypergraph(5, ((5,), (2,), (4,))), OrderedHypergraph(2, ((1,), (2,))), (2, 4)),
+    ], ids=["completion-below-key", "two-completions", "two-completions-unsorted",
+            "one-uniform"])
+    def test_explicit_hosts(self, host, target, image):
+        assert find_ordered_copy_by_scan(host, target) == image
+        assert find_ordered_copy(host, target) == image
+
 
 def contains_by_enumeration(host, spec):
     """Memo-free containment: every chain, every connector set, scanned
@@ -704,3 +725,11 @@ class TestWitnessValidation:
         assert validate_witness(MembershipColoring(host), small, w)
         sparse = OrderedHypergraph(6, w.edges(small.I)[1:])
         assert not validate_witness(MembershipColoring(sparse), small, w)
+
+    def test_base_coloring_is_searchable(self):
+        base = BaseColoring(3, 6, BINARY, (0,) * math.comb(6, 3))
+        spec = FamilySpec(3, 4, (1, 2), FLAVOR_F)
+        outcome = find_mono_f_copy(base, spec, {0})
+        assert outcome.status == WITNESS
+        assert validate_witness(base, spec, outcome.witness)
+        assert find_mono_f_copy(base, spec, {1}).status == CLEAN
