@@ -28,7 +28,7 @@ from .colorings import (
     write_coloring,
 )
 from .families import FamilySpec, canonical_member, is_member
-from .reporting import RunManifest, check_schema, dump_json, dump_records, tower
+from .reporting import RunManifest, check_schema, dump_json, tower
 from .trees import LeafSet, TreeParams, classify, projection
 
 EXIT_OK = 0
@@ -83,8 +83,9 @@ def _emit(args, report: dict, witnesses=None, metrics=None):
 
 
 def _cmd_tree_classify(args) -> int:
-    params = TreeParams(args.depth)
-    X = LeafSet.of(args.leaves, params)
+    if len(set(args.leaves)) != len(args.leaves):
+        raise ValueError(f"--leaves repeats a leaf: {list(args.leaves)}")
+    X = LeafSet.of(args.leaves, TreeParams(args.depth))
     shape = classify(X)
     report = {
         "schema": "treeramsey/shape/1",
@@ -233,8 +234,7 @@ def _cmd_steiner_blowup(args) -> int:
             f"system has {system.edge_count} edges, above --max-edges "
             f"{args.max_edges}; raise the limit to materialize it"
         )
-    with open(args.out_file, "w", encoding="utf-8") as fh:
-        fh.write(dump_records(system.to_json()))
+    reporting.write_records(args.out_file, system.to_json())
     report = {
         "schema": "treeramsey/steiner-blowup/1",
         "v": system.vertex_count,
@@ -249,8 +249,7 @@ def _cmd_steiner_blowup(args) -> int:
 def _cmd_steiner_plane(args) -> int:
     plane = steiner.build_projective_plane(args.order)
     steiner.validate_projective_plane(plane)
-    with open(args.out_file, "w", encoding="utf-8") as fh:
-        fh.write(dump_records(plane.to_json()))
+    reporting.write_records(args.out_file, plane.to_json())
     report = {
         "schema": "treeramsey/steiner-plane/1",
         "order": plane.order,
@@ -267,8 +266,7 @@ def _cmd_steiner_assemble(args) -> int:
     with open(args.plane, "r", encoding="utf-8") as fh:
         plane = steiner.ProjectivePlane.from_json(json.load(fh))
     glued = steiner.assemble_h(system, plane, args.seed)
-    with open(args.out_file, "w", encoding="utf-8") as fh:
-        fh.write(dump_records(glued.to_json()))
+    reporting.write_records(args.out_file, glued.to_json())
     report = {
         "schema": "treeramsey/steiner-assemble/1",
         "v": glued.v,
@@ -360,7 +358,7 @@ def build_parser() -> _Parser:
         ground=dict(type=int, required=True),
         clique=dict(type=int, required=True),
         seed=dict(type=int, default=0),
-        budget=dict(type=int, default=1000),
+        budget=dict(type=_budget(int), default=1000),
         out_file=dict(required=True),
     )
     add(

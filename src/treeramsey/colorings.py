@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .trees import LeafSet, TreeParams
+from .trees import TreeParams
 
 BINARY = "binary"
 Z4 = "z4"
@@ -53,6 +53,19 @@ def level_profile(elems: Sequence[int]) -> tuple[int, ...]:
     return tuple([((a - 1) ^ (b - 1)).bit_length() for a, b in zip(elems, elems[1:])])
 
 
+def _query(subset: Sequence[int], k: int, ground: int) -> tuple[int, ...]:
+    """A `color_of` argument as the sorted tuple `_eval` takes; raise
+    unless it is k distinct elements of [1, ground]."""
+    s = tuple(sorted(subset))
+    if len(s) != k:
+        raise ValueError(f"expected a {k}-subset, got {len(s)} elements")
+    if len(set(s)) != k:
+        raise ValueError(f"{s} has repeated elements")
+    if s[0] < 1 or s[-1] > ground:
+        raise ValueError(f"{s} is not a subset of [1, {ground}]")
+    return s
+
+
 @dataclass(frozen=True)
 class BaseColoring:
     """Total coloring of the r-subsets of [n], one table entry per subset."""
@@ -77,14 +90,7 @@ class BaseColoring:
                 raise ValueError(f"color {c} outside palette {self.palette}")
 
     def color_of(self, subset: Sequence[int]) -> int:
-        s = tuple(sorted(subset))
-        if len(s) != self.uniformity:
-            raise ValueError(
-                f"expected a {self.uniformity}-subset, got {len(s)} elements"
-            )
-        if len(set(s)) != len(s) or s[0] < 1 or s[-1] > self.ground_size:
-            raise ValueError(f"{subset} is not a subset of [{self.ground_size}]")
-        return self._eval(s)
+        return self._eval(_query(subset, self.uniformity, self.ground_size))
 
     def _eval(self, elems: tuple[int, ...]) -> int:
         # Callers guarantee a sorted, in-range, duplicate-free tuple.
@@ -142,16 +148,8 @@ class SteppedColoring:
         return TreeParams(self.depth)
 
     def color_of(self, X) -> int:
-        elems = X.elements if isinstance(X, LeafSet) else tuple(sorted(X))
-        if len(elems) != self.uniformity:
-            raise ValueError(
-                f"expected a {self.uniformity}-subset, got {len(elems)} elements"
-            )
-        if len(set(elems)) != len(elems):
-            raise ValueError("leaf set has repeated elements")
-        if elems[0] < 1 or elems[-1] > self.ground_size:
-            raise ValueError(f"leaves out of range [1, {self.ground_size}]")
-        return self._eval(elems)
+        """Color of a k-set of leaves: a LeafSet or any iterable of them."""
+        return self._eval(_query(X, self.uniformity, self.ground_size))
 
     def _eval(self, elems: tuple[int, ...]) -> int:
         # Hot path: callers guarantee a sorted, in-range, duplicate-free

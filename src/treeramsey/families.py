@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Sequence
 
-from .reporting import check_schema, dump_records
+from .reporting import check_schema, write_records
 
 FLAVOR_F = "F"
 FLAVOR_REVF = "revF"
@@ -214,16 +214,18 @@ class OrderedHypergraph:
         return cls(doc["v"], edges, dict(labels) if labels is not None else None)
 
 
+def relabel(v: int, edges, image: Sequence[int], labels) -> OrderedHypergraph:
+    """The hypergraph on 1..v in which vertex p of `edges` and of
+    `labels` (role -> vertex, or None) becomes image[p]; edges re-sorted."""
+    edges = sorted(tuple(sorted(map(image.__getitem__, e))) for e in edges)
+    if labels is not None:
+        labels = {role: image[p] for role, p in labels.items()}
+    return OrderedHypergraph(v, tuple(edges), labels)
+
+
 def reverse(H: OrderedHypergraph) -> OrderedHypergraph:
     """The same hypergraph under the reversed vertex order."""
-    remap = lambda p: H.v + 1 - p
-    edges = tuple(sorted(tuple(sorted(remap(p) for p in e)) for e in H.edges))
-    labels = (
-        {role: remap(pos) for role, pos in H.labels.items()}
-        if H.labels is not None
-        else None
-    )
-    return OrderedHypergraph(H.v, edges, labels)
+    return relabel(H.v, H.edges, range(H.v + 1, 0, -1), H.labels)
 
 
 def canonical_member(spec: FamilySpec) -> OrderedHypergraph:
@@ -419,8 +421,7 @@ def read_hypergraph(path) -> OrderedHypergraph:
 
 
 def write_hypergraph(H: OrderedHypergraph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_records(H.to_json()))
+    write_records(path, H.to_json())
 
 
 def member_vertex_count(spec: FamilySpec) -> int:

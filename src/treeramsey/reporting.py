@@ -79,6 +79,12 @@ def dump_records(obj: dict) -> str:
     return "{\n" + ",\n".join(fields) + "\n}\n"
 
 
+def write_records(path, doc: dict) -> None:
+    """Write a data file (system, plane, glued system or hypergraph)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(dump_records(doc))
+
+
 _JSON_TYPES = {
     int: "an integer", float: "a number", str: "a string", bool: "a boolean",
     list: "a list", dict: "an object", type(None): "null",

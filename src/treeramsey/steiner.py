@@ -39,6 +39,7 @@ from .families import (
     OrderedHypergraph,
     canonical_member,
     connector_sets,
+    relabel,
 )
 from .reporting import check_schema
 from .search import find_ordered_copy
@@ -79,16 +80,10 @@ class BlowupSystem:
     m: int
 
     def __post_init__(self):
-        if not self.n >= self.k >= 3:
-            raise ValueError(f"need n >= k >= 3, got n={self.n}, k={self.k}")
+        # the family's shape rules (k, n, I); flavor G asks no separation
+        object.__setattr__(self, "I", FamilySpec(self.k, self.n, self.I, FLAVOR_G).I)
         if self.m < 1:
             raise ValueError("class size m must be >= 1")
-        I = tuple(self.I)
-        object.__setattr__(self, "I", I)
-        if len(I) != self.k - 1 or any(a >= b for a, b in zip(I, I[1:])):
-            raise ValueError(f"I must be a sorted (k-1)-subset, got {I}")
-        if 1 not in I or I[-1] > self.n:
-            raise ValueError(f"I must contain 1 and lie in [n], got {I}")
 
     @functools.cached_property
     def omega(self) -> tuple[tuple[int, ...], ...]:
@@ -336,8 +331,8 @@ def is_partial_steiner(edges, ell: int) -> Optional[SteinerWitness]:
     set-size comparison, the answer is None; the per-subset scan for the
     least witness runs only otherwise."""
     edges = sorted(edges)
-    if edges and ell >= len(edges[0]):
-        raise ValueError(f"ell must be below the uniformity, got {ell}")
+    if ell < 0 or edges and ell >= len(edges[0]):
+        raise ValueError(f"ell must be >= 0 and below the uniformity, got {ell}")
     if _ell_sets_distinct(list(dict.fromkeys(map(tuple, edges))), ell):
         return None
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -462,9 +457,10 @@ def ordering_as_hypergraph(system, ordering: Sequence[int]) -> OrderedHypergraph
     v = system.vertex_count
     if sorted(ordering) != list(range(1, v + 1)):
         raise ValueError("ordering must be a permutation of the vertices")
-    position = {orig: idx + 1 for idx, orig in enumerate(ordering)}
-    relabeled = sorted(tuple(sorted(position[x] for x in e)) for e in system.edges)
-    return OrderedHypergraph(v, tuple(relabeled))
+    position = [0] * (v + 1)
+    for idx, orig in enumerate(ordering, 1):
+        position[orig] = idx
+    return relabel(v, system.edges, position, None)
 
 
 def _run_ordering_trial(args):

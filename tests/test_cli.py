@@ -133,6 +133,30 @@ class TestExitCodes:
         assert option in json.loads(capsys.readouterr().err)["error"]
         assert not out.exists()
 
+    def test_negative_build_base_budget_is_refused(self, tmp_path, capsys):
+        out_file = tmp_path / "none.coloring"
+        argv = ["color", "build-base", "--ground", "5", "--clique", "3", "--out-file", str(out_file)]
+        assert run(argv + ["--budget", "-3"]) == 2
+        assert "--budget" in json.loads(capsys.readouterr().err)["error"]
+        # a zero budget runs no attempt: not found
+        assert run(argv + ["--budget", "0"]) == 1
+        assert not out_file.exists()
+
+    def test_repeated_leaves_are_refused(self, capsys):
+        assert run(["tree", "classify", "--depth", "3", "--leaves", "1,1,2,3"]) == 2
+        assert "--leaves" in json.loads(capsys.readouterr().err)["error"]
+        # distinct leaves in any order stay legal
+        assert run(["tree", "classify", "--depth", "3", "--leaves", "3,1,2"]) == 0
+        assert json.loads(capsys.readouterr().out)["report"]["leaves"] == [1, 2, 3]
+
+    def test_negative_ell_is_refused(self, tmp_path, capsys):
+        system = tmp_path / "r.json"
+        assert run(["steiner", "blowup", "--n", "3", "--k", "3", "--I", "1,2",
+                    "--m", "1", "--out-file", str(system)]) == 0
+        capsys.readouterr()
+        assert run(["steiner", "check", "--file", str(system), "--ell", "-1"]) == 2
+        assert "ell" in json.loads(capsys.readouterr().err)["error"]
+
     def test_mono_witness_run(self, tmp_path, capsys):
         path = tmp_path / "z.coloring"
         write_coloring(all_zero_coloring(4), path)
@@ -346,6 +370,31 @@ class TestCommands:
         ) == 0
         capsys.readouterr()
         assert run(["steiner", "check", "--file", str(glued), "--ell", "2"]) == 0
+
+    def test_data_files_go_through_dump_records(self, tmp_path, capsys, monkeypatch):
+        from treeramsey import reporting
+
+        written = []
+        dump_records = reporting.dump_records
+
+        def counted(doc):
+            written.append(doc["schema"])
+            return dump_records(doc)
+
+        monkeypatch.setattr(reporting, "dump_records", counted)
+        system, plane = str(tmp_path / "r.json"), str(tmp_path / "plane.json")
+        for argv in (
+            ["steiner", "blowup", "--n", "3", "--k", "3", "--I", "1,2", "--m", "1",
+             "--out-file", system],
+            ["steiner", "plane", "--order", "7", "--out-file", plane],
+            ["steiner", "assemble", "--system", system, "--plane", plane,
+             "--out-file", str(tmp_path / "h.json")],
+            ["family", "gen", "--k", "3", "--n", "4", "--I", "1,2", "--flavor", "G",
+             "--out-file", str(tmp_path / "m.json")],
+        ):
+            assert run(argv) == 0
+        assert written == ["treeramsey/system/1", "treeramsey/plane/1",
+                           "treeramsey/system/1", "treeramsey/hypergraph/1"]
 
     def test_steiner_check_witness(self, tmp_path, capsys):
         import itertools

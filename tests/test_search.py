@@ -691,6 +691,20 @@ class TestContainment:
         spec = FamilySpec(3, 3, (1, 2), FLAVOR_F)
         assert not contains_family_member(OrderedHypergraph(3, ((1, 2, 3),)), spec)
 
+    def test_witness_outside_the_interval_raises(self, monkeypatch):
+        # Every edge of this witness is a host edge, but the connector of
+        # J = (3, 4) sits at 7, outside [x0, x1] = [1, 3]: no F member.
+        spec = FamilySpec(3, 4, (1, 2), FLAVOR_F)
+        witness = MonoCopyWitness(
+            FLAVOR_F, 0, (1, 3, 4, 5, 6), (((2, 3), 2), ((2, 4), 2), ((3, 4), 7))
+        )
+        host = OrderedHypergraph(7, tuple(sorted(witness.edges(spec.I))))
+        assert set(witness.edges(spec.I)) <= host.edge_set
+        outcome = search_module.SearchOutcome(WITNESS, witness, search_module.SearchCounters())
+        monkeypatch.setattr(search_module, "find_mono_f_copy", lambda *args: outcome)
+        with pytest.raises(AssertionError, match="re-check"):
+            contains_family_member(host, spec)
+
 
 class TestWitnessValidation:
     def test_tampered_witness_rejected(self):

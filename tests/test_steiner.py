@@ -146,6 +146,21 @@ class TestBlowup:
         with pytest.raises(ValueError, match="contain 1"):
             build_blowup(3, 3, (2, 3), 1)
 
+    @pytest.mark.parametrize("n,k,I", [
+        (2, 3, (1, 2)),  # n < k
+        (3, 2, (1,)),  # k < 3
+        (4, 3, (1, 2, 3)),  # not k-1 elements
+        (4, 3, (2, 1)),  # not sorted
+        (4, 3, (2, 3)),  # no 1
+        (4, 3, (1, 5)),  # beyond n
+    ])
+    def test_shape_refused_as_family_spec_refuses_it(self, n, k, I):
+        with pytest.raises(ValueError) as spec_error:
+            FamilySpec(k, n, I, FLAVOR_G)
+        with pytest.raises(ValueError) as blowup_error:
+            steiner.BlowupSystem(n, k, I, 1)
+        assert str(blowup_error.value) == str(spec_error.value)
+
 
 class TestPrimes:
     @pytest.mark.parametrize("n,p", [(22, 23), (7, 7), (2, 2), (14, 17), (20, 23)])
@@ -269,6 +284,15 @@ class TestPartialSteiner:
     def test_ell_bound(self):
         with pytest.raises(ValueError, match="below the uniformity"):
             is_partial_steiner([(1, 2, 3)], 3)
+
+    def test_negative_ell_refused(self):
+        with pytest.raises(ValueError, match="ell must be >= 0"):
+            is_partial_steiner([(1, 2, 3)], -1)
+        with pytest.raises(ValueError, match="ell must be >= 0"):
+            is_partial_steiner([], -1)
+        # ell = 0: every edge holds the empty set, so two distinct edges collide
+        assert is_partial_steiner([(1, 2, 3)], 0) is None
+        assert is_partial_steiner([(1, 2, 3), (1, 2, 4)], 0) == ((1, 2, 3), (1, 2, 4), ())
 
     def test_relabeling_invariance(self):
         system = toy_blowup()
