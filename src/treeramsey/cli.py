@@ -438,7 +438,12 @@ def build_parser() -> _Parser:
         k=dict(type=int, required=True),
         n=dict(type=int, required=True),
         I=dict(type=_int_list, required=True),
-        flavor=dict(default=families.FLAVOR_G, choices=[families.FLAVOR_G, families.FLAVOR_REVG]),
+        flavor=dict(
+            default=families.FLAVOR_G,
+            choices=[families.FLAVOR_G, families.FLAVOR_REVG],
+            help="G or revG; both write the same report, since every trial embeds "
+            "both canonical members",
+        ),
         trials=dict(type=int, required=True),
         seed=dict(type=int, default=0),
         workers=dict(type=int, default=1),

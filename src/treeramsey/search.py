@@ -23,17 +23,22 @@ There are two engines, and the type of the coloring picks one:
   left-to-right record of l_2 ... l_n.  The engine searches words,
   never leaves, and never asks the leaf query `_eval` (see
   `_search_levels`).
-* Leaf space, for every other evaluator (edge-membership tests and
-  proxies of a coloring).  It enumerates increasing chains of leaves,
-  memoizing each J's answer on (x_0, x_1, leaves), which fixes the edge
-  of every candidate connector (see `_search_chains_ascending`).
+* Leaf space, for every other evaluator (edge-membership tests, base
+  tables and proxies of a coloring).  It enumerates increasing chains
+  of leaves, memoizing each J's answer on (x_0, x_1, leaves), which
+  fixes the edge of every candidate connector.  The evaluator's type
+  picks the candidates: a coloring table or proxy scans every
+  position, and an edge-membership test draws chain leaves and
+  connectors from its host's incidence lists, so containment on an
+  explicit host is not a scan (see `_search_chains_ascending`).
 
 A reversed (revF) copy of a coloring is an F copy of the coloring with
 the leaf order reversed, so revF questions run the same engines and
 reflect the witness back.  Reflection (x -> 2**N + 1 - x) keeps every
 XOR (a-1) ^ (b-1) and reverses the leaf order, so in level space it
 reverses the profile: a revF search colors `profile[::-1]`.  Leaf space
-runs on `ReflectedColoring`.
+runs on `ReflectedColoring`, or for a membership test on the reversed
+host (`families.reverse`).
 
 Witness tie-breaking is lexicographic in (color, chain, connector
 assignment in colex-J order); reversed-flavor witnesses compare through
@@ -55,6 +60,7 @@ from .families import (
     FamilySpec,
     OrderedHypergraph,
     connector_sets,
+    reverse,
 )
 
 CLEAN = "clean"
@@ -71,7 +77,11 @@ class SearchCounters:
     Leaf space: `nodes` counts chain leaves tried, `prunes` leaves
     rejected by a color check, `chi_evals` edge colors evaluated,
     `admissible_computed` connector answers computed and `memo_hits`
-    connector answers read from the memo.  Level space: `nodes` counts
+    connector answers read from the memo.  On a host's incidence lists
+    (a `MembershipColoring` in color 0) `nodes` counts only the
+    candidates drawn from those lists, and `chi_evals` only the
+    special-edge membership tests, since connector answers are read off
+    the lists without asking `_eval`.  Level space: `nodes` counts
     realizable letters tried over all oracle calls of the search,
     `prunes` letters rejected by a color check, `chi_evals` level
     profiles colored through the coloring's table, `memo_hits` profile
@@ -162,10 +172,12 @@ class MembershipColoring:
     """Edge-set indicator posing as a 2-coloring: 0 on edges, 1 elsewhere.
 
     Lets the monochromatic-copy engine double as an ordered-containment
-    test: a color-0 copy is exactly an ordered subgraph embedding.
+    test: a color-0 copy is exactly an ordered subgraph embedding.  The
+    leaf engine reads color-0 candidates from `host.incidence`.
     """
 
     def __init__(self, host: OrderedHypergraph):
+        self.host = host
         self.uniformity = host.uniformity
         self.ground_size = host.v
         self.edge_set = host.edge_set
@@ -203,9 +215,32 @@ def _connectors_by_max(n: int, k: int) -> dict[int, list[tuple[int, ...]]]:
 def _search_chains_ascending(evaluator, spec_fields, color, budget):
     """Depth-first enumeration of increasing chains with per-J pruning.
 
-    Returns a SearchOutcome with the counters it creates; the first
-    complete chain found is the lexicographically least one because
-    candidates are scanned in increasing order at every depth.
+    Returns a SearchOutcome with the counters it creates.  The type of
+    the evaluator picks where the candidates come from.  A coloring
+    table or a proxy of one scans every position in range at every
+    depth and every v in [x_0, x_1] for a connector.  A
+    `MembershipColoring` asked for color 0, the host's edges, draws them
+    from the host's incidence lists instead:
+
+    * x_0 is the first vertex of some host edge, as of the special edge.
+    * x_i for i = I[m] follows the special edge's placed vertices
+      (x_0, x_{I[0]}, ..., x_{I[m-1]}) in a host edge that begins with
+      them; for i = I[-1] it is that edge's last vertex.
+    * x_d for any other d that is max(J) of some connector sets J is,
+      for each of them, the last vertex of a host edge (v, x_{J[:-1]}, x_d)
+      with v in [x_0, x_1].
+    * Any other depth scans its range.
+    * A connector's least v is the least first vertex in [x_0, x_1] of
+      the host edges through x_{J[0]} that end in its leaves; the host
+      need not be a partial system.
+
+    Why the witness is unchanged: each rule drops only positions that no
+    copy extending the placed prefix can use, so the candidates at each
+    depth include every position a scan would accept, and they are tried
+    in increasing order.  The first complete chain found is therefore
+    the lexicographically least one, the one the scan returns (the
+    argument of `find_ordered_copy`), and both sources give each
+    connector its least leaf.
     """
     k, n, I = spec_fields
     M = evaluator.ground_size
@@ -217,6 +252,51 @@ def _search_chains_ascending(evaluator, spec_fields, color, budget):
     counters = SearchCounters()
     tick = _ticker(counters, budget)
     memo: dict = {}
+    chain: list[int] = [0] * (n + 1)
+
+    if isinstance(evaluator, MembershipColoring) and color == 0:
+        incidence = evaluator.host.incidence
+        starts = sorted({e[0] for e in evaluator.host.edges})
+        # x_{I[m]} -> chain positions of the special edge's first m + 1 vertices
+        special_prefix = {i: (0,) + I[:m] for m, i in enumerate(I)}
+
+        def least_leaf(x0, x1, leaves):
+            return min(
+                (e[0] for e in incidence[leaves[0]] if e[1:] == leaves and x0 <= e[0] <= x1),
+                default=None,
+            )
+
+        def candidates(depth, lo, hi):
+            if depth in special_prefix:
+                key = tuple(chain[p] for p in special_prefix[depth])
+                m = len(key)
+                found = {e[m] for e in incidence[key[-1]] if e[:m] == key}
+            elif depth in connectors_by_max:
+                x0, x1 = chain[0], chain[1]
+                found = None
+                for J in connectors_by_max[depth]:
+                    mid = tuple(chain[j] for j in J[:-1])
+                    ends = {
+                        e[-1] for e in incidence[mid[0]] if e[1:-1] == mid and x0 <= e[0] <= x1
+                    }
+                    found = ends if found is None else found & ends
+            elif depth:
+                return range(lo, hi + 1)
+            else:
+                found = starts
+            return [x for x in sorted(found) if lo <= x <= hi]
+
+    else:
+
+        def least_leaf(x0, x1, leaves):
+            for v in range(x0, x1 + 1):
+                counters.chi_evals += 1
+                if eval_edge((v,) + leaves) == color:
+                    return v
+            return None
+
+        def candidates(depth, lo, hi):
+            return range(lo, hi + 1)
 
     def admissible_min(x0, x1, leaves):
         key = (x0, x1, leaves)
@@ -224,16 +304,8 @@ def _search_chains_ascending(evaluator, spec_fields, color, budget):
             counters.memo_hits += 1
             return memo[key]
         counters.admissible_computed += 1
-        best = None
-        for v in range(x0, x1 + 1):
-            counters.chi_evals += 1
-            if eval_edge((v,) + leaves) == color:
-                best = v
-                break
-        memo[key] = best
+        memo[key] = best = least_leaf(x0, x1, leaves)
         return best
-
-    chain: list[int] = [0] * (n + 1)
 
     def extend(depth):
         if depth == n + 1:
@@ -243,7 +315,7 @@ def _search_chains_ascending(evaluator, spec_fields, color, budget):
             )
             return MonoCopyWitness(FLAVOR_F, color, tuple(chain), assignment)
         lo = chain[depth - 1] + 1 if depth > 0 else 1
-        for x in range(lo, M - (n - depth) + 1):
+        for x in candidates(depth, lo, M - (n - depth)):
             tick()
             chain[depth] = x
             if depth == special_at:
@@ -272,15 +344,10 @@ def _search_chains_ascending(evaluator, spec_fields, color, budget):
         return None
 
     try:
-        for x0 in range(1, M - n + 1):
-            tick()
-            chain[0] = x0
-            found = extend(1)
-            if found is not None:
-                return SearchOutcome(WITNESS, found, counters)
+        found = extend(0)
     except BudgetExceeded:
         return SearchOutcome(INDETERMINATE, None, counters)
-    return SearchOutcome(CLEAN, None, counters)
+    return SearchOutcome(CLEAN if found is None else WITNESS, found, counters)
 
 
 def _search_levels(N, profile_color, spec_fields, color, budget):
@@ -454,9 +521,10 @@ def find_mono_f_copy(
     function of the edge's level profile; reflection reverses that
     profile, so a revF slot colors `profile[::-1]`.  Any other evaluator
     is searched in leaf space (`_search_chains_ascending`), reflected
-    by `ReflectedColoring` for revF.  The two engines give the same
-    status and witness, and their counters count different things (see
-    `SearchCounters`).
+    by `ReflectedColoring` for revF, or for a `MembershipColoring` run
+    on the reversed host, so that its incidence lists still serve.  The
+    two engines give the same status and witness, and their counters
+    count different things (see `SearchCounters`).
     """
     if spec.k != chi.uniformity:
         raise ValueError(
@@ -479,7 +547,13 @@ def find_mono_f_copy(
             profile_color = chi._color_of_profile
         engine = partial(_search_levels, chi.depth, profile_color)
     else:
-        evaluator = ReflectedColoring(chi) if reversed_flavor else chi
+        evaluator = chi
+        if reversed_flavor:
+            evaluator = (
+                MembershipColoring(reverse(chi.host))
+                if isinstance(chi, MembershipColoring)
+                else ReflectedColoring(chi)
+            )
         engine = partial(_search_chains_ascending, evaluator)
 
     counters = SearchCounters()
@@ -713,7 +787,12 @@ def contains_family_member(host: OrderedHypergraph, spec: FamilySpec) -> bool:
 
     Runs the monochromatic-copy engine over the edge-membership
     indicator coloring, so collapses and connector coincidences are
-    covered without enumerating members.
+    covered without enumerating members.  The leaf engine draws chain
+    leaves and connectors from the host's incidence lists, not from
+    every position, and returns the same least witness as that scan
+    (`_search_chains_ascending` says why); revF runs F on the reversed
+    host and reflects the witness back.  The witness is re-checked with
+    `validate_witness` before the answer is given.
     """
     if spec.flavor not in (FLAVOR_F, FLAVOR_REVF):
         raise ValueError("containment search supports flavors F and revF")

@@ -142,7 +142,7 @@ class BlowupSystem:
             for z in itertools.product(*ranges):
                 yield tuple(sorted(z + (self.extend_transversal(J, z),)))
 
-    @property
+    @functools.cached_property
     def edges(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self.iter_edges())
 

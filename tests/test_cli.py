@@ -425,6 +425,20 @@ class TestCommands:
         trial_ms = json.loads((out / "manifest.json").read_text())["metrics"]["trial_ms"]
         assert 0 <= trial_ms["p50"] <= trial_ms["p95"] <= trial_ms["max"]
 
+    def test_mc_run_flavors_write_the_same_report(self, tmp_path, capsys):
+        system = tmp_path / "r.json"
+        run(["steiner", "blowup", "--n", "3", "--k", "3", "--I", "1,2",
+             "--m", "2", "--out-file", str(system)])
+        reports = {}
+        for flavor in ("G", "revG"):
+            out = tmp_path / flavor
+            run(["mc", "run", "--system", str(system), "--k", "3", "--n", "3", "--I", "1,2",
+                 "--flavor", flavor, "--trials", "6", "--seed", "5", "--out", str(out)])
+            reports[flavor] = (out / "report.json").read_bytes()
+        assert reports["G"] == reports["revG"]
+        assert run(["mc", "run", "--help"]) == 0
+        assert "both write the same report" in " ".join(capsys.readouterr().out.split())
+
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_mc_run_without_workers_exits_two(self, tmp_path, capsys, workers):
         system = tmp_path / "r.json"

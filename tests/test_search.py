@@ -4,6 +4,8 @@ import itertools
 import json
 import math
 import random
+from functools import partial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -35,7 +37,14 @@ from treeramsey import (
     verify_stepup_avoidance,
 )
 import treeramsey.search as search_module
-from treeramsey.families import FLAVOR_F, FLAVOR_G, FLAVOR_REVF, FLAVOR_REVG
+from treeramsey.families import (
+    FLAVOR_F,
+    FLAVOR_G,
+    FLAVOR_REVF,
+    FLAVOR_REVG,
+    connector_sets,
+    is_separated,
+)
 from treeramsey.search import (
     CLEAN,
     INDETERMINATE,
@@ -644,6 +653,34 @@ def small_hosts(draw):
     return OrderedHypergraph(v, edges)
 
 
+@st.composite
+def k4_hosts_and_specs(draw):
+    """A k = 4 host with at least one edge and an F spec whose I is any
+    separated set; at I = (1, 2, 4) and (1, 2, 5), x_3 is neither in I
+    nor the largest leaf of a connector set, so its depth is scanned."""
+    n = draw(st.integers(min_value=4, max_value=6))
+    separated = [I for I in ((1, 2, 3), (1, 2, 4), (1, 2, 5)) if is_separated(I, n, 4)]
+    I = draw(st.sampled_from(separated))
+    v = draw(st.integers(min_value=n + 1, max_value=9))
+    quads = list(itertools.combinations(range(1, v + 1), 4))
+    density = draw(st.sampled_from((0.25, 0.5, 0.8)))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    edges = tuple(e for e in quads if rng.random() < density) or quads[:1]
+    return OrderedHypergraph(v, edges), FamilySpec(4, n, I, FLAVOR_F)
+
+
+def assert_same_as_full_scan(host, spec):
+    """The incidence-driven search returns the full scan's outcome; the
+    scan runs on a proxy of the membership test, which is not a
+    `MembershipColoring`, and visits every node the host search visits."""
+    membership = MembershipColoring(host)
+    got = find_mono_f_copy(membership, spec, {0})
+    scan = find_mono_f_copy(LeafProxy(membership), spec, {0})
+    assert (got.status, got.witness) == (scan.status, scan.witness)
+    assert got.counters.nodes <= scan.counters.nodes
+    return got, scan
+
+
 class TestContainment:
     def test_three_edge_host_holds_no_four_edge_member(self):
         # The edge (2, 4, 5) and the non-edge (2, 4, 6) share a level
@@ -675,6 +712,47 @@ class TestContainment:
             spec = FamilySpec(3, n, (1, 2), flavor)
             expected = host.v >= n + 1 and contains_by_enumeration(host, spec)
             assert contains_family_member(host, spec) == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(k4_hosts_and_specs())
+    def test_k4_hosts_match_enumeration_and_full_scan(self, case):
+        host, spec = case
+        for flavor in (FLAVOR_F, FLAVOR_REVF):
+            flavored = spec.with_flavor(flavor)
+            expected = contains_by_enumeration(host, flavored)
+            assert contains_family_member(host, flavored) == expected
+            assert_same_as_full_scan(host, flavored)
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_hosts(), st.sampled_from((3, 4, 5)))
+    def test_unseparated_index_set_scans_a_depth(self, host, n):
+        # I = (1, 3) is no F spec's, but the leaf engine takes any I:
+        # x_2 is neither in I nor a connector set's largest leaf.
+        assume(host.edges and host.v >= n + 1)
+        fields = (3, n, (1, 3))
+        spec = SimpleNamespace(n=n, I=(1, 3), flavor=FLAVOR_F, connectors=connector_sets(n, 3))
+        membership = MembershipColoring(host)
+        for color in (0, 1):
+            engine = partial(search_module._search_chains_ascending, spec_fields=fields,
+                             color=color, budget=None)
+            got, scan = engine(membership), engine(LeafProxy(membership))
+            assert (got.status, got.witness) == (scan.status, scan.witness)
+            if color == 0:
+                assert (got.status == WITNESS) == contains_by_enumeration(host, spec)
+
+    def test_blowup_orderings_match_full_scan(self):
+        system = build_blowup(3, 3, (1, 2), m=3)
+        spec = FamilySpec(3, 3, (1, 2), FLAVOR_F)
+        statuses, nodes = set(), [0, 0]
+        for seed in range(60):
+            host = seeded_ordering(system, seed)
+            for flavor in (FLAVOR_F, FLAVOR_REVF):
+                got, scan = assert_same_as_full_scan(host, spec.with_flavor(flavor))
+                statuses.add(got.status)
+                nodes[0] += got.counters.nodes
+                nodes[1] += scan.counters.nodes
+        assert statuses == {CLEAN, WITNESS}
+        assert 10 * nodes[0] < nodes[1]
 
     def test_member_contains_itself(self):
         spec = FamilySpec(3, 3, (1, 2), FLAVOR_F)

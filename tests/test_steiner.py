@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import pickle
 import random
 
 import pytest
@@ -100,6 +101,19 @@ class TestBlowup:
         assert system.vertex_count == 14
         assert system.edge_count == 8
         assert len(list(system.iter_edges())) == 8
+
+    def test_cached_edges_keep_json_and_pickle(self):
+        system = toy_blowup()
+        fresh_json = json.dumps(toy_blowup().to_json())
+        edges = system.edges
+        assert system.edges is edges == tuple(system.iter_edges())
+        assert json.dumps(system.to_json()) == fresh_json
+        copy = pickle.loads(pickle.dumps(system))
+        assert copy == system and copy.edges == edges
+        spec = FamilySpec(3, 3, (1, 2), FLAVOR_G)
+        par = sample_ordering_and_search(system, spec, 6, seed=5, workers=2)
+        seq = sample_ordering_and_search(toy_blowup(), spec, 6, seed=5, workers=1)
+        assert par.to_json() == seq.to_json()
 
     def test_default_class_size(self):
         assert build_blowup(3, 3, (1, 2)).m == 3**6
