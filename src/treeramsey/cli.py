@@ -279,6 +279,8 @@ def _cmd_steiner_assemble(args) -> int:
 
 def _cmd_steiner_check(args) -> int:
     system = steiner.read_system(args.file)
+    if args.ell >= system.k:  # is_partial_steiner reads k off an edge, if any
+        raise ValueError(f"--ell must be below the file's k = {system.k}, got {args.ell}")
     witness = steiner.is_partial_steiner(system.edges, args.ell)
     report = {
         "schema": "treeramsey/steiner-check/1",
@@ -333,141 +335,105 @@ def _cmd_bound_tower(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="treeramsey")
-    sub = parser.add_subparsers(dest="group", required=True)
+_INT = dict(type=int, required=True)
+_INTS = dict(type=_int_list, required=True)
+_PATH = dict(required=True)
+_FLAVOR = dict(default=families.FLAVOR_F, choices=families.FLAVORS)
 
-    def add(group_sub, name, fn, **arguments):
-        p = group_sub.add_parser(name)
-        for arg, kwargs in arguments.items():
-            p.add_argument(f"--{arg.replace('_', '-')}", **kwargs)
-        p.add_argument("--out", help="output directory for manifest.json and report.json")
-        p.set_defaults(handler=fn)
-        return p
-
-    tree = parser_sub(sub, "tree")
-    add(
-        tree, "classify", _cmd_tree_classify,
-        depth=dict(type=int, required=True),
-        leaves=dict(type=_int_list, required=True),
-    )
-
-    color = parser_sub(sub, "color")
-    add(
-        color, "build-base", _cmd_color_build_base,
-        ground=dict(type=int, required=True),
-        clique=dict(type=int, required=True),
+# (group, command) -> (handler, options): each option's argparse keywords
+# by name; every command also takes --out.  build_parser walks it in order.
+COMMANDS = {
+    ("tree", "classify"): (_cmd_tree_classify, dict(depth=_INT, leaves=_INTS)),
+    ("color", "build-base"): (_cmd_color_build_base, dict(
+        ground=_INT,
+        clique=_INT,
         seed=dict(type=int, default=0),
         budget=dict(type=_budget(int), default=1000),
-        out_file=dict(required=True),
-    )
-    add(
-        color, "verify-clique", _cmd_color_verify_clique,
-        file=dict(required=True),
-        t=dict(type=int, required=True),
-    )
-    add(
-        color, "export", _cmd_color_export,
-        file=dict(required=True),
-        out_file=dict(required=True),
-    )
-    add(color, "import", _cmd_color_import, file=dict(required=True))
-
-    stepup = parser_sub(sub, "stepup")
-    add(
-        stepup, "verify", _cmd_stepup_verify,
+        out_file=_PATH,
+    )),
+    ("color", "verify-clique"): (_cmd_color_verify_clique, dict(file=_PATH, t=_INT)),
+    ("color", "export"): (_cmd_color_export, dict(file=_PATH, out_file=_PATH)),
+    ("color", "import"): (_cmd_color_import, dict(file=_PATH)),
+    ("stepup", "verify"): (_cmd_stepup_verify, dict(
         base=dict(default=None),
         tower=dict(default=None, help="tower descriptor JSON"),
         k=dict(type=int, default=None, help="target uniformity with --base (default 3)"),
-        n=dict(type=int, required=True),
-        I=dict(type=_int_list, required=True),
+        n=_INT,
+        I=_INTS,
         max_nodes=dict(type=_budget(int), default=None),
         max_seconds=dict(type=_budget(float), default=None),
-    )
-
-    family = parser_sub(sub, "family")
-    add(
-        family, "gen", _cmd_family_gen,
-        k=dict(type=int, required=True),
-        n=dict(type=int, required=True),
-        I=dict(type=_int_list, required=True),
-        flavor=dict(default=families.FLAVOR_F, choices=families.FLAVORS),
-        out_file=dict(required=True),
-    )
-    add(
-        family, "check", _cmd_family_check,
-        file=dict(required=True),
-        k=dict(type=int, required=True),
-        n=dict(type=int, required=True),
-        I=dict(type=_int_list, required=True),
-        flavor=dict(default=families.FLAVOR_F, choices=families.FLAVORS),
-    )
-
-    st = parser_sub(sub, "steiner")
-    add(
-        st, "blowup", _cmd_steiner_blowup,
-        n=dict(type=int, required=True),
-        k=dict(type=int, required=True),
-        I=dict(type=_int_list, required=True),
+    )),
+    ("family", "gen"): (_cmd_family_gen, dict(
+        k=_INT, n=_INT, I=_INTS, flavor=_FLAVOR, out_file=_PATH,
+    )),
+    ("family", "check"): (_cmd_family_check, dict(
+        file=_PATH, k=_INT, n=_INT, I=_INTS, flavor=_FLAVOR,
+    )),
+    ("steiner", "blowup"): (_cmd_steiner_blowup, dict(
+        n=_INT,
+        k=_INT,
+        I=_INTS,
         m=dict(type=int, default=None),
         max_edges=dict(type=int, default=10**6),
-        out_file=dict(required=True),
-    )
-    add(
-        st, "plane", _cmd_steiner_plane,
-        order=dict(type=int, required=True),
-        out_file=dict(required=True),
-    )
-    add(
-        st, "assemble", _cmd_steiner_assemble,
-        system=dict(required=True),
-        plane=dict(required=True),
-        seed=dict(type=int, default=0),
-        out_file=dict(required=True),
-    )
-    add(
-        st, "check", _cmd_steiner_check,
-        file=dict(required=True),
-        ell=dict(type=int, required=True),
-    )
-
-    mc = parser_sub(sub, "mc")
-    add(
-        mc, "run", _cmd_mc_run,
-        system=dict(required=True),
-        k=dict(type=int, required=True),
-        n=dict(type=int, required=True),
-        I=dict(type=_int_list, required=True),
+        out_file=_PATH,
+    )),
+    ("steiner", "plane"): (_cmd_steiner_plane, dict(order=_INT, out_file=_PATH)),
+    ("steiner", "assemble"): (_cmd_steiner_assemble, dict(
+        system=_PATH, plane=_PATH, seed=dict(type=int, default=0), out_file=_PATH,
+    )),
+    ("steiner", "check"): (_cmd_steiner_check, dict(file=_PATH, ell=_INT)),
+    ("mc", "run"): (_cmd_mc_run, dict(
+        system=_PATH,
+        k=_INT,
+        n=_INT,
+        I=_INTS,
         flavor=dict(
             default=families.FLAVOR_G,
             choices=[families.FLAVOR_G, families.FLAVOR_REVG],
             help="G or revG; both write the same report, since every trial embeds "
             "both canonical members",
         ),
-        trials=dict(type=int, required=True),
+        trials=_INT,
         seed=dict(type=int, default=0),
         workers=dict(type=int, default=1),
-    )
+    )),
+    ("bound", "tower"): (_cmd_bound_tower, dict(i=_INT, x=_INT)),
+}
 
-    bound = parser_sub(sub, "bound")
-    add(
-        bound, "tower", _cmd_bound_tower,
-        i=dict(type=int, required=True),
-        x=dict(type=int, required=True),
-    )
+
+def build_parser(named=()) -> _Parser:
+    """The parser of the command that `named`, a (group, command) pair
+    such as argv[:2], names, or of every command when it names none.
+    One walk over COMMANDS builds either."""
+    only = tuple(named) if tuple(named) in COMMANDS else None
+
+    def slot(dest, names):
+        # A one-command parser still names every choice, as argparse
+        # would, so that its help and usage errors read as the full one's.
+        metavar = "{" + ",".join(dict.fromkeys(names)) + "}" if only else None
+        return dict(dest=dest, required=True, metavar=metavar)
+
+    parser = _Parser(prog="treeramsey")
+    top = parser.add_subparsers(**slot("group", (g for g, _ in COMMANDS)))
+    groups = {}
+    for (group, command), (handler, options) in COMMANDS.items():
+        if only not in (None, (group, command)):
+            continue
+        if group not in groups:
+            commands = slot("command", (c for g, c in COMMANDS if g == group))
+            groups[group] = top.add_parser(group).add_subparsers(**commands)
+        p = groups[group].add_parser(command)
+        for arg, kwargs in options.items():
+            p.add_argument(f"--{arg.replace('_', '-')}", **kwargs)
+        p.add_argument("--out", help="output directory for manifest.json and report.json")
+        p.set_defaults(handler=handler)
     return parser
 
 
-def parser_sub(sub, name):
-    p = sub.add_parser(name)
-    inner = p.add_subparsers(dest="command", required=True)
-    return inner
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv[:2]).parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     args._start = time.monotonic()

@@ -39,6 +39,7 @@ from .families import (
     OrderedHypergraph,
     canonical_member,
     connector_sets,
+    increasing_within,
     relabel,
 )
 from .reporting import check_schema
@@ -532,10 +533,8 @@ def sample_ordering_and_search(
 def _sorted_edges(edges: list, k: int, v: int) -> Optional[list]:
     """The edges as sorted tuples, in order, when every edge is a list of
     k distinct ints (by exact type, so no bool) in [1, v]; else None.
-    Checked over all edges at once at C speed: once each edge is sorted,
-    the first column holds every edge's least vertex, the last its
-    largest, and an edge's vertices are distinct when each column is
-    below the next."""
+    Checked over all edges at once at C speed: the types here, then,
+    once each edge is sorted, the columns by `increasing_within`."""
     if (
         set(map(type, edges)) - {list}
         or set(map(len, edges)) - {k}
@@ -543,19 +542,11 @@ def _sorted_edges(edges: list, k: int, v: int) -> Optional[list]:
     ):
         return None
     edges = sorted(map(tuple, map(sorted, edges)))
-    # zip(*edges) would make an iterator per edge; itemgetter makes none
-    columns = [list(map(operator.itemgetter(j), edges)) for j in range(k)] if edges else []
-    if columns and (
-        min(columns[0]) < 1
-        or max(columns[-1]) > v
-        or not all(all(map(operator.lt, a, b)) for a, b in zip(columns, columns[1:]))
-    ):
-        return None
-    return edges
+    return edges if increasing_within(edges, k, v) else None
 
 
 def read_system(path) -> BlowupSystem | SteinerSystem:
-    """Load a system file: a positive integer v, an integer k, edges, a
+    """Load a system file: positive integers v and k, edges, a
     list of k-lists of distinct integers in [1, v], optional provenance,
     a list (not read), and optional params, an object with integers n,
     k, m and a list of integers I.  With params the file must hold
@@ -570,8 +561,8 @@ def read_system(path) -> BlowupSystem | SteinerSystem:
             {"provenance": list, "params": dict},
         )
     v, k = doc["v"], doc["k"]
-    if v < 1:
-        raise ValueError(f"system v must be a positive integer, got {v}")
+    if v < 1 or k < 1:
+        raise ValueError(f"system v and k must be positive integers, got v = {v}, k = {k}")
     edges = _sorted_edges(doc["edges"], k, v)
     if edges is None:
         bad = next(

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from treeramsey import export_coloring, write_coloring
+from treeramsey import cli, export_coloring, write_coloring
 from treeramsey.cli import main
 
 from conftest import (
@@ -622,6 +622,26 @@ class TestMalformedSteinerFiles:
         assert json.loads(capsys.readouterr().err)["error"]
 
 
+    @pytest.mark.parametrize("ell", ["3", "5"])
+    def test_ell_at_or_above_k_of_an_edgeless_file(self, tmp_path, capsys, ell):
+        from treeramsey.steiner import SYSTEM_SCHEMA
+
+        path = self.write(tmp_path / "empty.json",
+                          {"schema": SYSTEM_SCHEMA, "v": 3, "k": 3, "edges": []})
+        assert run(["steiner", "check", "--file", path, "--ell", "2"]) == 0
+        capsys.readouterr()
+        assert run(["steiner", "check", "--file", path, "--ell", ell]) == 2
+        assert "--ell" in json.loads(capsys.readouterr().err)["error"]
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_is_refused(self, tmp_path, capsys, k):
+        from treeramsey.steiner import SYSTEM_SCHEMA
+
+        path = self.write(tmp_path / "k.json",
+                          {"schema": SYSTEM_SCHEMA, "v": 3, "k": k, "edges": []})
+        assert run(["steiner", "check", "--file", path, "--ell", "0"]) == 2
+        assert "k" in json.loads(capsys.readouterr().err)["error"]
+
     @pytest.mark.parametrize(
         "params",
         [{"n": "x", "k": 3, "I": [1, 2], "m": 1}, 5, {"n": 3, "k": 3, "I": "12", "m": 1}],
@@ -1089,3 +1109,107 @@ class TestReproducibility:
         }
         assert decoded == expected.provenance
         assert max(map(len, expected.provenance.values())) == copies
+
+
+def _held(parser):
+    """The (group, command) pairs a parser from build_parser holds."""
+    (groups,) = parser._subparsers._group_actions
+    return {
+        (group, command)
+        for group, inner in groups.choices.items()
+        for command in inner._subparsers._group_actions[0].choices
+    }
+
+
+def _captured(argv, capsys):
+    """main(argv)'s exit code, stdout and stderr."""
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _full_argv(group, command):
+    """argv giving every option of the command a value its type takes."""
+    argv = [group, command, "--out", "d"]
+    for name, kwargs in cli.COMMANDS[group, command][1].items():
+        convert = kwargs.get("type")
+        if "choices" in kwargs:
+            value = kwargs["choices"][-1]
+        elif convert is cli._int_list:
+            value = "1,2"
+        elif convert is not None:
+            value = "2"
+        else:
+            value = f"{name}.json"
+        argv += [f"--{name.replace('_', '-')}", value]
+    return argv
+
+
+class TestCommandTable:
+    """main builds the parser of the command argv[:2] names, and the full
+    parser otherwise; the two read every argv of that command alike."""
+
+    @staticmethod
+    def full_parser(monkeypatch):
+        """Make main build the full parser whatever argv names."""
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda named=(): build())
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The parsers main builds, in order."""
+        parsers, build = [], cli.build_parser
+
+        def spy(named=()):
+            parsers.append(build(named))
+            return parsers[-1]
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        return parsers
+
+    def test_one_walk_builds_either_parser(self):
+        assert _held(cli.build_parser()) == set(cli.COMMANDS)
+        for key in cli.COMMANDS:
+            assert _held(cli.build_parser(key)) == {key}
+
+    @pytest.mark.parametrize("key", list(cli.COMMANDS), ids=" ".join)
+    def test_help_and_usage_errors_match_the_full_parser(self, key, capsys, monkeypatch,
+                                                          built):
+        argvs = [[*key, "-h"], [*key], [*key, "--no-such-option"], [*key, "--out"],
+                 _full_argv(*key) + ["extra"]]
+        one = [_captured(argv, capsys) for argv in argvs]
+        assert [_held(parser) for parser in built] == [{key}] * len(argvs)
+        self.full_parser(monkeypatch)
+        assert [_captured(argv, capsys) for argv in argvs] == one
+        assert one[0][0] == 0 and "usage: treeramsey " + " ".join(key) in one[0][1]
+        for code, out, err in one[1:]:
+            assert code == 2 and not out and json.loads(err)["usage"]
+
+    @pytest.mark.parametrize("key", list(cli.COMMANDS), ids=" ".join)
+    def test_namespace_matches_the_full_parser(self, key):
+        argv = _full_argv(*key)
+        one = vars(cli.build_parser(key).parse_args(argv))
+        assert one == vars(cli.build_parser().parse_args(argv))
+        # every option is parsed, so the manifest's params echo them all
+        params = {name for name in one if name not in cli._NOT_PARAMS}
+        assert params == set(cli.COMMANDS[key][1]) - {"seed"}
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["stepup", "-h"], ["stepup", "frob"], ["frob", "verify"],
+        ["stepup", "--out", "x", "verify"],
+    ], ids=repr)
+    def test_other_argvs_take_the_full_parser(self, argv, capsys, monkeypatch, built):
+        seen = _captured(argv, capsys)
+        assert [_held(parser) for parser in built] == [set(cli.COMMANDS)]
+        self.full_parser(monkeypatch)
+        assert _captured(argv, capsys) == seen
+        assert seen[0] == (0 if "-h" in argv else 2)
+
+    def test_console_script_reads_sys_argv(self, capsys, monkeypatch, built):
+        argv = ["bound", "tower", "--i", "2", "--x", "3"]
+        expected = _captured(argv, capsys)
+        monkeypatch.setattr("sys.argv", ["treeramsey", *argv])
+        code, out, err = _captured(None, capsys)
+        assert [_held(parser) for parser in built] == [{("bound", "tower")}] * 2
+        assert code == expected[0] == 0 and not err
+        assert json.loads(out)["report"] == json.loads(expected[1])["report"]

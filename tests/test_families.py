@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -372,3 +373,61 @@ class TestHypergraphIO:
             OrderedHypergraph(4, ((1, 2, 3), (1, 2, 3)))
         with pytest.raises(ValueError, match="out of range"):
             OrderedHypergraph(3, ((1, 2, 4),))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_bulk_edge_check_matches_edge_by_edge(self, data):
+        v = data.draw(st.integers(1, 20))
+        k = data.draw(st.integers(1, min(v, 4)))
+        size = min(data.draw(st.sampled_from([0, 2, 15, 16, 24])), math.comb(v, k))
+        edges = data.draw(st.lists(
+            st.lists(st.integers(1, v), min_size=k, max_size=k, unique=True)
+            .map(lambda e: tuple(sorted(e))), min_size=size, max_size=size, unique=True,
+        ))
+        vertex = st.integers(-1, v + 1)
+        bad = data.draw(
+            st.none()
+            | st.lists(vertex, min_size=k, max_size=k).map(tuple)
+            | st.lists(vertex, min_size=k, max_size=k).map(sorted).map(tuple)
+            | st.lists(vertex | st.booleans() | st.just(1.0), max_size=5).map(tuple)
+            | st.lists(st.integers(1, v), min_size=k, max_size=k)
+            | st.sampled_from(edges or [None])
+        )
+        if bad is not None:
+            edges.insert(data.draw(st.integers(0, len(edges))), bad)
+        assert _outcome(OrderedHypergraph, v, tuple(edges)) == _outcome(_edge_by_edge, v, edges)
+
+    @pytest.mark.parametrize("at", [0, 10, 20])
+    @pytest.mark.parametrize("bad", [
+        None, (0, 1, 2), (20, 21, 23), (3, 2, 4), (2, 2, 3), (1, 2, 3), [4, 5, 6],
+        (True, 2, 3), (1.0, 2, 3), (1, 2), (),
+    ], ids=repr)
+    def test_bulk_edge_check_on_a_large_host(self, bad, at):
+        edges = [(i, i + 1, i + 2) for i in range(1, 21)]
+        if bad is not None:
+            edges.insert(at, bad)
+        assert _outcome(OrderedHypergraph, 22, tuple(edges)) == _outcome(_edge_by_edge, 22, edges)
+
+
+def _edge_by_edge(v, edges):
+    """OrderedHypergraph's edge check before the bulk check, one edge at
+    a time.  The bulk check, taken from 16 edges on, may let through
+    only what this accepts; on any other input the loop runs, and its
+    error names the first bad edge."""
+    seen = set()
+    for e in edges:
+        if tuple(sorted(e)) != e or len(set(e)) != len(e):
+            raise ValueError(f"edge {e} is not a sorted duplicate-free tuple")
+        if e[0] < 1 or e[-1] > v:
+            raise ValueError(f"edge {e} out of range [1, {v}]")
+        if e in seen:
+            raise ValueError(f"duplicate edge {e}")
+        seen.add(e)
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None

@@ -444,6 +444,18 @@ class TestReadSystem:
         assert isinstance(again, SteinerSystem)
         assert (again.vertex_count, again.k, again.edges) == (307, 3, glued.edges)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_uniformity_below_one_is_refused(self, tmp_path, k):
+        path = self.write(tmp_path / "k.json",
+                          {"schema": SYSTEM_SCHEMA, "v": 3, "k": k, "edges": []})
+        with pytest.raises(ValueError, match=f"k = {k}"):
+            read_system(path)
+
+    def test_one_uniform_file_reads(self, tmp_path):
+        path = self.write(tmp_path / "k1.json",
+                          {"schema": SYSTEM_SCHEMA, "v": 2, "k": 1, "edges": [[2], [1]]})
+        assert read_system(path) == SteinerSystem(2, 1, ((1,), (2,)), {})
+
     def test_sizes_compared_before_the_blowup_is_built(self, tmp_path, monkeypatch):
         # n = 10**6 names a blow-up with about 5 * 10**11 connector sets;
         # the file is refused from the counts, without enumerating them
