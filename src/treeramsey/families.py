@@ -25,7 +25,7 @@ import operator
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Sequence
 
-from .reporting import check_schema, write_records
+from .reporting import check_schema, int_rows, write_records
 
 FLAVOR_F = "F"
 FLAVOR_REVF = "revF"
@@ -180,14 +180,14 @@ class OrderedHypergraph:
         if not (
             len(edges) >= 16
             and k
-            and set(map(type, edges)) == {tuple}
-            and set(map(len, edges)) == {k}
-            and set(map(type, itertools.chain.from_iterable(edges))) == {int}
+            and int_rows(edges, tuple) == {k}
             and increasing_within(edges, k, self.v)
             and len(self.edge_set) == len(edges)
         ):
             seen = set()
             for e in edges:
+                if not 0 < len(e) == k:
+                    raise ValueError(f"edge {e} is empty or not of the first edge's size {k}")
                 if tuple(sorted(e)) != e or len(set(e)) != len(e):
                     raise ValueError(f"edge {e} is not a sorted duplicate-free tuple")
                 if e[0] < 1 or e[-1] > self.v:
@@ -237,9 +237,10 @@ class OrderedHypergraph:
         integer lists, and optional labels, an object of integer positions."""
         doc = check_schema(obj, HYPERGRAPH_SCHEMA, {"v": int, "edges": list}, {"labels": dict})
         edges, labels = doc["edges"], doc.get("labels")
-        if not all(type(e) is list and e and all(type(x) is int for x in e) for e in edges):
+        lengths = int_rows(edges)
+        if lengths is None or 0 in lengths:
             raise ValueError("hypergraph edges must be non-empty integer lists")
-        if labels is not None and not all(type(p) is int for p in labels.values()):
+        if labels is not None and int_rows([list(labels.values())]) is None:
             raise ValueError("hypergraph labels must be integer positions")
         edges = tuple(tuple(sorted(e)) for e in edges)
         return cls(doc["v"], edges, dict(labels) if labels is not None else None)

@@ -42,7 +42,7 @@ from .families import (
     increasing_within,
     relabel,
 )
-from .reporting import check_schema
+from .reporting import check_schema, int_rows
 from .search import find_ordered_copy
 
 SYSTEM_SCHEMA = "treeramsey/system/1"
@@ -125,8 +125,7 @@ class BlowupSystem:
     def extend_transversal(self, J: Sequence[int], z: Sequence[int]) -> int:
         """The unique vertex of V_J extending transversal z to an edge."""
         J = tuple(J)
-        if J not in self._block_index:
-            raise ValueError(f"{J} is not an edge index set of this system")
+        block = self.block_range(J)
         if len(z) != len(J):
             raise ValueError(f"transversal of {J} needs {len(J)} vertices")
         rank = 0
@@ -135,7 +134,7 @@ class BlowupSystem:
             if v not in r:
                 raise ValueError(f"vertex {v} is not in class V_{j}")
             rank = rank * self.m + (v - r.start)
-        return self.block_range(J).start + rank
+        return block.start + rank
 
     def iter_edges(self) -> Iterator[tuple[int, ...]]:
         for J in self.omega:
@@ -216,8 +215,7 @@ class ProjectivePlane:
         """Read a plane document; raise unless it is a valid plane."""
         doc = check_schema(obj, PLANE_SCHEMA, {"order": int, "points": int, "lines": list})
         lines = doc["lines"]
-        flat = itertools.chain.from_iterable
-        if set(map(type, lines)) - {list} or set(map(type, flat(lines))) - {int}:
+        if int_rows(lines) is None:
             raise ValueError("plane lines must be integer lists")
         plane = cls(doc["order"], tuple(map(tuple, lines)))
         if doc["points"] != plane.num_points:
@@ -307,9 +305,8 @@ def _ell_sets_distinct(edges: list, ell: int) -> bool:
     x_{j_ell}, B the largest vertex + 1.  Equal subsets get equal keys,
     so len(edges) * comb(k, ell) distinct keys mean distinct subsets
     (for vertices in [0, B) the converse holds too)."""
-    lengths = set(map(len, edges))
-    kinds = set(map(type, itertools.chain.from_iterable(edges)))
-    if ell < 1 or len(lengths) != 1 or kinds - {int}:
+    lengths = int_rows(edges, tuple)
+    if ell < 1 or lengths is None or len(lengths) != 1:
         return False
     k = lengths.pop()
     columns = [list(map(operator.itemgetter(j), edges)) for j in range(k)]
@@ -533,13 +530,10 @@ def sample_ordering_and_search(
 def _sorted_edges(edges: list, k: int, v: int) -> Optional[list]:
     """The edges as sorted tuples, in order, when every edge is a list of
     k distinct ints (by exact type, so no bool) in [1, v]; else None.
-    Checked over all edges at once at C speed: the types here, then,
-    once each edge is sorted, the columns by `increasing_within`."""
-    if (
-        set(map(type, edges)) - {list}
-        or set(map(len, edges)) - {k}
-        or set(map(type, itertools.chain.from_iterable(edges))) - {int}
-    ):
+    Checked over all edges at once at C speed: the types by `int_rows`,
+    then, once each edge is sorted, the columns by `increasing_within`."""
+    lengths = int_rows(edges)
+    if lengths is None or lengths - {k}:
         return None
     edges = sorted(map(tuple, map(sorted, edges)))
     return edges if increasing_within(edges, k, v) else None
@@ -567,22 +561,13 @@ def read_system(path) -> BlowupSystem | SteinerSystem:
     if edges is None:
         bad = next(
             e for e in doc["edges"]
-            if not (
-                type(e) is list
-                and len(e) == k
-                and all(type(x) is int and 1 <= x <= v for x in e)
-                and len(set(e)) == k
-            )
+            if int_rows([e]) != {k} or not all(1 <= x <= v for x in e) or len(set(e)) != k
         )
         raise ValueError(f"edge {bad!r} is not {k} distinct vertices in [1, {v}]")
     params = doc.get("params")
     if params is None:
         return SteinerSystem(v, k, tuple(edges), {})
-    if not (
-        all(type(params.get(f)) is int for f in ("n", "k", "m"))
-        and type(params.get("I")) is list
-        and all(type(i) is int for i in params["I"])
-    ):
+    if int_rows([[params.get("n"), params.get("k"), params.get("m")], params.get("I")]) is None:
         raise ValueError(
             f"system params must hold integers n, k, m and a list of integers I, "
             f"got {params!r}"
@@ -592,7 +577,7 @@ def read_system(path) -> BlowupSystem | SteinerSystem:
     except ValueError as exc:
         raise ValueError(f"system params name no blow-up: {exc}") from None
     if (system.k, system.vertex_count, system.edge_count) != (k, v, len(edges)) or (
-        sorted(system.iter_edges()) != edges
+        sorted(system.edges) != edges
     ):
         raise ValueError(f"system params {params!r} do not describe the file's system")
     return system

@@ -659,6 +659,31 @@ class TestMalformedSteinerFiles:
         assert "params" in json.loads(capsys.readouterr().err)["error"]
 
 
+    # records hold ints by exact type: a true or a float equal to a valid
+    # int is refused like any other bad value
+    @pytest.mark.parametrize("exact", [lambda x: True, float], ids=["true", "float"])
+    @pytest.mark.parametrize("field", ["n", "k", "m", "I"])
+    def test_params_hold_exact_ints(self, tmp_path, capsys, field, exact):
+        from treeramsey import build_blowup
+
+        doc = build_blowup(3, 3, (1, 2), m=1).to_json()
+        params = doc["params"]
+        params[field] = [exact(1), 2] if field == "I" else exact(params[field])
+        path = self.write(tmp_path / "s.json", doc)
+        assert run(["steiner", "check", "--file", path, "--ell", "2"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error.startswith("system params must hold integers n, k, m")
+
+    @pytest.mark.parametrize("exact", [True, 1.0], ids=["true", "float"])
+    def test_plane_lines_hold_exact_ints(self, tmp_path, capsys, exact):
+        from treeramsey import build_projective_plane
+
+        obj = build_projective_plane(5).to_json()
+        assert obj["lines"][0][0] == 1
+        obj["lines"][0][0] = exact
+        assert self.assemble(tmp_path, obj) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "plane lines must be integer lists"
+
     @pytest.mark.parametrize("command", ["check", "assemble", "mc"])
     @pytest.mark.parametrize(
         "doc",
@@ -700,13 +725,15 @@ class TestMalformedSteinerFiles:
     # the glued (3,3,3) system at p = 29 ends in the edge [861, 868, 870]
     @pytest.mark.parametrize("bad,message", [
         ([861, True, 870], "edge [861, True, 870]"),
+        ([861, 868.0, 870], "edge [861, 868.0, 870]"),
         ([0, 868, 870], "edge [0, 868, 870]"),
         ([861, 868, 872], "edge [861, 868, 872]"),
         ([861, 868, 868], "edge [861, 868, 868]"),
         ([861, 868], "edge [861, 868]"),
         ([861, "1", 870], "edge [861, '1', 870]"),
         (5, "edge 5"),
-    ], ids=["true", "zero", "v-plus-one", "repeated", "too-short", "string", "not-a-list"])
+    ], ids=["true", "float", "zero", "v-plus-one", "repeated", "too-short", "string",
+            "not-a-list"])
     def test_bad_last_edge_of_a_large_file(self, tmp_path, capsys, glued_doc, bad, message):
         from treeramsey.reporting import dump_records
 
@@ -730,12 +757,41 @@ class TestMalformedHypergraphFile:
 
         obj = canonical_member(FamilySpec(3, 4, (1, 2), "G")).to_json()
         obj[field] = value
+        assert self.family_check(tmp_path, obj) == 2
+        assert field in json.loads(capsys.readouterr().err)["error"]
+
+    @staticmethod
+    def family_check(tmp_path, obj):
         path = tmp_path / "h.json"
         path.write_text(json.dumps(obj))
-        code = run(["family", "check", "--file", str(path), "--k", "3", "--n", "4",
+        return run(["family", "check", "--file", str(path), "--k", "3", "--n", "4",
                     "--I", "1,2", "--flavor", "G"])
-        assert code == 2
-        assert field in json.loads(capsys.readouterr().err)["error"]
+
+    @pytest.mark.parametrize("exact", [True, 1.0], ids=["true", "float"])
+    @pytest.mark.parametrize("field,message", [
+        ("edges", "hypergraph edges must be non-empty integer lists"),
+        ("labels", "hypergraph labels must be integer positions"),
+    ], ids=["edge", "label"])
+    def test_records_hold_exact_ints(self, tmp_path, capsys, field, message, exact):
+        from treeramsey import FamilySpec, canonical_member
+
+        obj = canonical_member(FamilySpec(3, 4, (1, 2), "G")).to_json()
+        assert obj["edges"][0][0] == obj["labels"]["xI"] == 1
+        if field == "edges":
+            obj["edges"][0][0] = exact
+        else:
+            obj["labels"]["xI"] = exact
+        assert self.family_check(tmp_path, obj) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == message
+
+    def test_edges_of_mixed_size(self, tmp_path, capsys):
+        from treeramsey import FamilySpec, canonical_member
+
+        obj = canonical_member(FamilySpec(3, 4, (1, 2), "G")).to_json()
+        obj["edges"].insert(0, [1, 2])
+        assert self.family_check(tmp_path, obj) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == "edge (1, 5, 6) is empty or not of the first edge's size 2"
 
 
 _JSON_VALUES = {

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -408,14 +409,37 @@ class TestHypergraphIO:
             edges.insert(at, bad)
         assert _outcome(OrderedHypergraph, 22, tuple(edges)) == _outcome(_edge_by_edge, 22, edges)
 
+    @pytest.mark.parametrize("bad", [(1, 2), ()], ids=repr)
+    @pytest.mark.parametrize("size", [2, 20])
+    @pytest.mark.parametrize("at", [0, 1, -1])
+    def test_edges_of_mixed_size_are_refused(self, bad, size, at):
+        # both check paths: below 16 edges the loop alone runs
+        edges = [(i, i + 1, i + 2) for i in range(1, size + 1)]
+        edges.insert(at % (size + 1), bad)
+        with pytest.raises(ValueError, match="is empty or not of the first edge's size"):
+            OrderedHypergraph(size + 2, tuple(edges))
+
+    def test_mixed_host_is_refused_not_misread(self):
+        # read by its first edge alone, this host would be 2-uniform and
+        # contain no F member, though it holds the canonical one
+        member = canonical_member(FamilySpec(3, 3, (1, 2), FLAVOR_F))
+        assert (1, 2) not in member.edges
+        message = f"edge {member.edges[0]} is empty or not of the first edge's size 2"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            OrderedHypergraph(member.v, ((1, 2),) + member.edges)
+
 
 def _edge_by_edge(v, edges):
     """OrderedHypergraph's edge check before the bulk check, one edge at
     a time.  The bulk check, taken from 16 edges on, may let through
     only what this accepts; on any other input the loop runs, and its
-    error names the first bad edge."""
+    error names the first bad edge.  Every edge has the first edge's
+    size, at least 1."""
     seen = set()
+    k = len(edges[0]) if edges else 0
     for e in edges:
+        if not 0 < len(e) == k:
+            raise ValueError(f"edge {e} is empty or not of the first edge's size {k}")
         if tuple(sorted(e)) != e or len(set(e)) != len(e):
             raise ValueError(f"edge {e} is not a sorted duplicate-free tuple")
         if e[0] < 1 or e[-1] > v:

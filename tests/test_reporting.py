@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treeramsey import RunManifest, tower
-from treeramsey.reporting import check_schema, dump_json, dump_records, emit_run
+from treeramsey.reporting import check_schema, dump_json, dump_records, emit_run, int_rows
 
 
 class TestTower:
@@ -137,3 +137,40 @@ class TestRecords:
             '{\n"edges": [\n[1, 2],\n[3, 4]\n],\n"empty": [],\n'
             '"schema": "x/1",\n"v": 4\n}\n'
         )
+
+
+def int_rows_oracle(rows, kind):
+    """int_rows row by row: the row lengths, or None at the first row
+    that is not a `kind` of exact ints."""
+    lengths = set()
+    for row in rows:
+        if type(row) is not kind or not all(type(x) is int for x in row):
+            return None
+        lengths.add(len(row))
+    return lengths
+
+
+_ROW_ITEMS = (
+    st.integers(-2, 9) | st.booleans() | st.just(1.0) | st.just(_Level.ONE)
+    | st.text(max_size=2) | st.lists(st.integers(0, 3), max_size=2)
+)
+_ROWS = st.lists(
+    st.lists(st.integers(-2, 9), max_size=4)
+    | st.lists(st.integers(-2, 9), max_size=4).map(tuple)
+    | st.lists(_ROW_ITEMS, max_size=3)
+    | st.lists(_ROW_ITEMS, max_size=3).map(tuple)
+    | st.integers() | st.none() | st.text(max_size=2),
+    max_size=5,
+)
+
+
+class TestIntRows:
+    @settings(max_examples=500, deadline=None)
+    @given(_ROWS, st.sampled_from([list, tuple]))
+    @example([[1, 2], [3, True]], list)
+    @example([[1, 2], (3, 4)], list)
+    @example([[], [1]], list)
+    @example([(1, _Level.ONE)], tuple)
+    @example([[1], 5], list)
+    def test_matches_row_by_row(self, rows, kind):
+        assert int_rows(rows, kind) == int_rows_oracle(rows, kind)

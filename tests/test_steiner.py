@@ -154,6 +154,13 @@ class TestBlowup:
         with pytest.raises(ValueError, match="not an edge index set"):
             system.extend_transversal((1, 3), (1, 5))
 
+    def test_index_set_checked_before_transversal_length(self):
+        system = toy_blowup()
+        with pytest.raises(ValueError, match=r"^\(1, 3\) is not an edge index set"):
+            system.extend_transversal([1, 3], (1,))
+        with pytest.raises(ValueError, match=r"^transversal of \(2, 3\) needs 2 vertices"):
+            system.extend_transversal([2, 3], (3,))
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="n >= k"):
             build_blowup(2, 3, (1, 2), 1)
@@ -436,6 +443,20 @@ class TestReadSystem:
         system = toy_blowup()
         path = self.write(tmp_path / "r.json", system.to_json())
         assert read_system(path) == system
+
+    def test_blowup_edges_are_generated_once(self, tmp_path, monkeypatch):
+        path = self.write(tmp_path / "r.json", toy_blowup().to_json())
+        calls = []
+        iter_edges = steiner.BlowupSystem.iter_edges
+
+        def counted(system):
+            calls.append(system)
+            return iter_edges(system)
+
+        monkeypatch.setattr(steiner.BlowupSystem, "iter_edges", counted)
+        edges = read_system(path).edges
+        assert len(calls) == 1
+        assert edges == tuple(iter_edges(toy_blowup()))
 
     def test_file_without_params_reads_as_steiner_system(self, tmp_path):
         glued = assemble_h(toy_blowup(), build_projective_plane(17), seed=3)
