@@ -19,7 +19,7 @@ system = build_blowup(3, 3, (1, 2), m=2)
 print(f"blow-up: {system.vertex_count} vertices, {system.edge_count} edges")
 for J in system.omega:
     print(f"  class for J={J}: vertices {list(system.block_range(J))}")
-print("partial (3,2)-system:", is_partial_steiner(system.edges, 2) is None)
+print("partial (3,2)-system:", is_partial_steiner(system.edges, system.k, 2) is None)
 
 # One transversal, its unique extension, and the resulting edge.
 z = (3, 5)  # one vertex from each of the classes of J = (2, 3)
@@ -36,7 +36,7 @@ print(f"plane of order {p}: {plane.num_points} points, "
 glued = assemble_h(system, plane, seed=0)
 print(f"\nglued system: {glued.v} vertices, {len(glued.edges)} edges "
       f"({len(plane.lines)} lines x {system.edge_count} edges, no collisions)")
-print("partial (3,2)-system:", is_partial_steiner(glued.edges, 2) is None)
+print("partial (3,2)-system:", is_partial_steiner(glued.edges, glued.k, 2) is None)
 
 # note: the default class size is n**(k+3); the toy m=2 keeps every
 # structure small enough to validate exhaustively

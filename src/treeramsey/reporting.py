@@ -45,24 +45,33 @@ def dump_json(obj: dict) -> str:
 _RECORD = json.JSONEncoder(sort_keys=True)
 
 
+def _rows_of_ints(rows, kind=list) -> bool:
+    """Whether every row is a `kind` whose items are ints by exact type
+    (so no bool, IntEnum or float), checked over all rows at once at C
+    speed: one pass over the rows and one over their items."""
+    return set(map(type, rows)) <= {kind} and set(
+        map(type, itertools.chain.from_iterable(rows))
+    ) <= {int}
+
+
 def int_rows(rows, kind=list) -> Optional[set[int]]:
     """The set of row lengths when every row is a `kind` whose items are
-    ints by exact type (so no bool, IntEnum or float), else None.  This
-    is the rule for a data file's records: list rows, which repr writes
-    as the JSON encoder would.  Checked over all rows at once at C speed."""
-    flat = itertools.chain.from_iterable
-    if set(map(type, rows)) - {kind} or set(map(type, flat(rows))) - {int}:
-        return None
-    return set(map(len, rows))
+    ints by exact type, else None.  This is the rule for a data file's
+    records: list rows, which repr writes as the JSON encoder would."""
+    return set(map(len, rows)) if _rows_of_ints(rows, kind) else None
 
 
 def _int_records(items: list) -> bool:
     """True when every item is an int row, or every item a list of int
-    rows (provenance): then repr writes each item as the encoder would."""
-    return int_rows(items) is not None or (
-        set(map(type, items)) == {list}
-        and int_rows(list(itertools.chain.from_iterable(items))) is not None
-    )
+    rows (provenance): then repr writes each item as the encoder would.
+    The first item picks which, so each nesting level is checked once; a
+    list the guess does not fit goes through the encoder, as any other."""
+    first = items[0]
+    if type(first) is list and first and type(first[0]) is list:
+        if set(map(type, items)) != {list}:
+            return False
+        items = list(itertools.chain.from_iterable(items))
+    return _rows_of_ints(items)
 
 
 def dump_records(obj: dict) -> str:

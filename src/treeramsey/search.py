@@ -347,6 +347,8 @@ def _search_chains_ascending(evaluator, spec_fields, color, budget):
         found = extend(0)
     except BudgetExceeded:
         return SearchOutcome(INDETERMINATE, None, counters)
+    finally:
+        del extend  # it calls itself through this cell: free the search's state now
     return SearchOutcome(CLEAN if found is None else WITNESS, found, counters)
 
 
@@ -477,6 +479,8 @@ def _search_levels(N, profile_color, spec_fields, color, budget):
                 ones |= 1 << b
     except BudgetExceeded:
         return SearchOutcome(INDETERMINATE, None, counters)
+    finally:
+        del extend  # it calls itself through this cell: free the search's state now
 
     word[2:] = best
     ys = [0, 1 << (l1 - 1) | ones >> 1]  # the chain's x_d - 1

@@ -320,17 +320,22 @@ def _ell_sets_distinct(edges: list, ell: int) -> bool:
     return len(keys) == len(edges) * math.comb(k, ell)
 
 
-def is_partial_steiner(edges, ell: int) -> Optional[SteinerWitness]:
+def is_partial_steiner(edges, k: int, ell: int) -> Optional[SteinerWitness]:
     """Least pair of edges sharing an ell-subset, or None when the
-    edges (a system's `edges`) form a partial (k, ell)-system.
+    edges (a system's `edges`, so k is the system's `k`) form a partial
+    (k, ell)-system.  An ell outside [0, k), or an edge of another size
+    than k, is refused, also when there are no edges.
 
     Copies of one edge do not collide.  When the distinct edges'
     ell-sets are all distinct, which `_ell_sets_distinct` shows by one
     set-size comparison, the answer is None; the per-subset scan for the
     least witness runs only otherwise."""
+    if not 0 <= ell < k:
+        raise ValueError(f"ell must be >= 0 and below the uniformity k = {k}, got {ell}")
     edges = sorted(edges)
-    if ell < 0 or edges and ell >= len(edges[0]):
-        raise ValueError(f"ell must be >= 0 and below the uniformity, got {ell}")
+    sizes = set(map(len, edges)) - {k}
+    if sizes:
+        raise ValueError(f"every edge must have k = {k} vertices, got one of {min(sizes)}")
     if _ell_sets_distinct(list(dict.fromkeys(map(tuple, edges))), ell):
         return None
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}

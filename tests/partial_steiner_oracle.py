@@ -14,12 +14,12 @@ from typing import Optional
 from treeramsey.steiner import SteinerWitness
 
 
-def is_partial_steiner(edges, ell: int) -> Optional[SteinerWitness]:
+def is_partial_steiner(edges, k: int, ell: int) -> Optional[SteinerWitness]:
     """Least pair of edges sharing an ell-subset, or None when the
-    edges (a system's `edges`) form a partial (k, ell)-system."""
+    edges, each of k vertices, form a partial (k, ell)-system."""
     edges = sorted(edges)
-    if edges and ell >= len(edges[0]):
-        raise ValueError(f"ell must be below the uniformity, got {ell}")
+    if not 0 <= ell < k or any(len(e) != k for e in edges):
+        raise ValueError(f"expected 0 <= ell < k and edges of k = {k} vertices")
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
     collisions = []
     for e in edges:

@@ -296,7 +296,7 @@ def test_criterion_08_steiner_constructions():
                         assert tuple(sorted(z + (v,))) in edge_set
                         images.add(v)
                     assert images == set(system.block_range(J))
-                assert is_partial_steiner(edges, k - 1) is None
+                assert is_partial_steiner(edges, k, k - 1) is None
     for p in (2, 3, 5, 7):
         validate_projective_plane(build_projective_plane(p))
 
@@ -306,7 +306,7 @@ def test_criterion_08_steiner_constructions():
     for seed in range(25):
         glued = assemble_h(toy, plane, seed)
         assert glued.v == p * p + p + 1
-        assert is_partial_steiner(glued.edges, 2) is None
+        assert is_partial_steiner(glued.edges, 3, 2) is None
     elapsed = time.monotonic() - start
     assert elapsed < 300.0
     report_line(
@@ -332,7 +332,7 @@ def test_criterion_09_monte_carlo():
         rng = random.Random(f"ordering:2026:{t}")
         ordering = _shuffled(list(range(1, toy.vertex_count + 1)), rng)
         relabeled = ordering_as_hypergraph(toy, ordering)
-        assert is_partial_steiner(relabeled.edges, 2) is None
+        assert is_partial_steiner(relabeled.edges, 3, 2) is None
 
     # failing orderings replay to the same miss
     for failure in report.failures:

@@ -1,6 +1,7 @@
 """Exit-code contract, stderr JSON errors, and manifest reproducibility."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -47,6 +48,75 @@ def allzero_file(tmp_path):
 def run(argv):
     return main(argv)
 
+
+
+class TestCollectorPause:
+    """`main` pauses the cyclic collector while a command's handler runs
+    and gives the caller its collector state back on every exit path."""
+
+    @pytest.fixture(autouse=True)
+    def collector_state(self):
+        was_enabled = gc.isenabled()
+        gc.enable()
+        yield
+        (gc.enable if was_enabled else gc.disable)()
+
+    @staticmethod
+    def steiner_check(tmp_path, edges):
+        from treeramsey.reporting import dump_json
+        from treeramsey.steiner import SYSTEM_SCHEMA
+
+        path = tmp_path / "system.json"
+        path.write_text(dump_json({"schema": SYSTEM_SCHEMA, "v": 4, "k": 3, "edges": edges}))
+        return ["steiner", "check", "--file", str(path), "--ell", "2"]
+
+    def test_handler_runs_paused(self, tmp_path, monkeypatch, capsys):
+        from treeramsey import steiner
+
+        seen = []
+        assemble = steiner.assemble_h
+
+        def spy(*args):
+            seen.append(gc.isenabled())
+            return assemble(*args)
+
+        monkeypatch.setattr(steiner, "assemble_h", spy)
+        system, plane = str(tmp_path / "r.json"), str(tmp_path / "p.json")
+        assert run(["steiner", "blowup", "--n", "3", "--k", "3", "--I", "1,2",
+                    "--m", "1", "--out-file", system]) == 0
+        assert run(["steiner", "plane", "--order", "7", "--out-file", plane]) == 0
+        assert run(["steiner", "assemble", "--system", system, "--plane", plane,
+                    "--out-file", str(tmp_path / "h.json")]) == 0
+        assert seen == [False]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("expected", [0, 1, 2, 3])
+    def test_enabled_again_after_each_exit_code(self, tmp_path, c4_file, capsys, expected):
+        argv = {
+            0: lambda: ["tree", "classify", "--depth", "3", "--leaves", "1,2,3"],
+            1: lambda: self.steiner_check(tmp_path, [[1, 2, 3], [1, 2, 4]]),  # a witness
+            2: lambda: self.steiner_check(tmp_path, [[1, 2, 9]]),  # vertex out of range
+            3: lambda: ["stepup", "verify", "--base", c4_file, "--k", "3", "--n", "4",
+                        "--I", "1,2", "--max-nodes", "5"],
+        }[expected]()
+        assert run(argv) == expected
+        assert gc.isenabled()
+
+    def test_enabled_again_after_an_escaping_exception(self, tmp_path, monkeypatch, capsys):
+        from treeramsey import steiner
+
+        def fail(path):
+            raise RuntimeError("not an input error")
+
+        monkeypatch.setattr(steiner, "read_system", fail)
+        with pytest.raises(RuntimeError, match="not an input error"):
+            run(self.steiner_check(tmp_path, [[1, 2, 3]]))
+        assert gc.isenabled()
+
+    def test_caller_disabled_stays_disabled(self, capsys):
+        gc.disable()
+        assert run(["tree", "classify", "--depth", "3", "--leaves", "1,2,3"]) == 0
+        assert not gc.isenabled()
 
 class TestExitCodes:
     def test_clean_run_is_zero(self, c4_file, tmp_path, capsys):
@@ -631,7 +701,8 @@ class TestMalformedSteinerFiles:
         assert run(["steiner", "check", "--file", path, "--ell", "2"]) == 0
         capsys.readouterr()
         assert run(["steiner", "check", "--file", path, "--ell", ell]) == 2
-        assert "--ell" in json.loads(capsys.readouterr().err)["error"]
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert f"ell must be >= 0 and below the uniformity k = 3, got {ell}" == error
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_k_below_one_is_refused(self, tmp_path, capsys, k):

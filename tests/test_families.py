@@ -165,7 +165,7 @@ class TestCanonicalMember:
                 for flavor in (FLAVOR_F, FLAVOR_G):
                     spec = FamilySpec(k, n, tuple(range(1, k)), flavor)
                     member = canonical_member(spec)
-                    assert is_partial_steiner(member.edges, k - 1) is None
+                    assert is_partial_steiner(member.edges, k, k - 1) is None
 
     def test_g_contained_in_f(self):
         # a G member is an F member once the anchor also carries the x0 role

@@ -1,5 +1,6 @@
 """Search engine against a joint brute-force oracle and its invariants."""
 
+import gc
 import itertools
 import json
 import math
@@ -825,3 +826,45 @@ class TestWitnessValidation:
         assert outcome.status == WITNESS
         assert validate_witness(base, spec, outcome.witness)
         assert find_mono_f_copy(base, spec, {1}).status == CLEAN
+
+
+class TestSearchStateIsFreed:
+    """A search leaves no reference cycle behind, so its state (the
+    profile-color cache, masks, memo and ticker) is freed on return even
+    while the cyclic collector is paused, as the CLI runs every command."""
+
+    @staticmethod
+    def cyclic_garbage(run):
+        run()  # first calls may fill module-level caches
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            run()
+            return gc.collect()
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_level_space_search(self):
+        chi = build_tower(c4_coloring(), 4).top
+        spec = FamilySpec(4, 5, (1, 2, 3), FLAVOR_F)
+
+        def run():
+            for flavor in (FLAVOR_F, FLAVOR_REVF):
+                find_mono_f_copy(chi, spec.with_flavor(flavor), {0, 1})
+            find_mono_f_copy(chi, spec, {0, 1}, SearchBudget(max_nodes=5))
+
+        assert self.cyclic_garbage(run) == 0
+
+    def test_containment_search(self):
+        host = seeded_ordering(build_blowup(3, 3, (1, 2), m=3), 0)
+        spec = FamilySpec(3, 3, (1, 2), FLAVOR_F)
+
+        def run():
+            for flavor in (FLAVOR_F, FLAVOR_REVF):
+                contains_family_member(host, spec.with_flavor(flavor))
+            membership = MembershipColoring(host)
+            find_mono_f_copy(membership, spec, {0, 1}, SearchBudget(max_nodes=2))
+
+        assert self.cyclic_garbage(run) == 0

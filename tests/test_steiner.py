@@ -292,44 +292,57 @@ class TestPlaneRejections:
 class TestPartialSteiner:
     def test_complete_quadruple_witness(self):
         edges = list(itertools.combinations((1, 2, 3, 4), 3))
-        assert is_partial_steiner(edges, 2) == SteinerWitness(
+        assert is_partial_steiner(edges, 3, 2) == SteinerWitness(
             (1, 2, 3), (1, 2, 4), (1, 2)
         )
 
     def test_toy_blowup_clean(self):
-        assert is_partial_steiner(toy_blowup().edges, 2) is None
+        assert is_partial_steiner(toy_blowup().edges, 3, 2) is None
 
     def test_single_edge_clean(self):
-        assert is_partial_steiner([(1, 2, 3)], 2) is None
+        assert is_partial_steiner([(1, 2, 3)], 3, 2) is None
 
     def test_ell_bound(self):
-        with pytest.raises(ValueError, match="below the uniformity"):
-            is_partial_steiner([(1, 2, 3)], 3)
+        with pytest.raises(ValueError, match="below the uniformity k = 3, got 3"):
+            is_partial_steiner([(1, 2, 3)], 3, 3)
+
+    @pytest.mark.parametrize("ell", [3, 5])
+    def test_ell_bound_without_edges(self, ell):
+        # the uniformity comes from the caller, so no edge is needed to refuse
+        with pytest.raises(ValueError, match=f"below the uniformity k = 3, got {ell}"):
+            is_partial_steiner([], 3, ell)
+        assert is_partial_steiner([], 3, 2) is None
+
+    def test_edge_of_another_size_refused(self):
+        with pytest.raises(ValueError, match="k = 3 vertices, got one of 2"):
+            is_partial_steiner([(1, 2, 3), (1, 2)], 3, 1)
+        with pytest.raises(ValueError, match="k = 4 vertices, got one of 3"):
+            is_partial_steiner([(1, 2, 3)], 4, 2)
 
     def test_negative_ell_refused(self):
         with pytest.raises(ValueError, match="ell must be >= 0"):
-            is_partial_steiner([(1, 2, 3)], -1)
+            is_partial_steiner([(1, 2, 3)], 3, -1)
         with pytest.raises(ValueError, match="ell must be >= 0"):
-            is_partial_steiner([], -1)
+            is_partial_steiner([], 3, -1)
         # ell = 0: every edge holds the empty set, so two distinct edges collide
-        assert is_partial_steiner([(1, 2, 3)], 0) is None
-        assert is_partial_steiner([(1, 2, 3), (1, 2, 4)], 0) == ((1, 2, 3), (1, 2, 4), ())
+        assert is_partial_steiner([(1, 2, 3)], 3, 0) is None
+        assert is_partial_steiner([(1, 2, 3), (1, 2, 4)], 3, 0) == ((1, 2, 3), (1, 2, 4), ())
 
     def test_relabeling_invariance(self):
         system = toy_blowup()
         rng = random.Random(3)
         ordering = _shuffled(list(range(1, system.vertex_count + 1)), rng)
         shuffled = ordering_as_hypergraph(system, ordering)
-        assert is_partial_steiner(shuffled.edges, 2) is None
+        assert is_partial_steiner(shuffled.edges, 3, 2) is None
 
     def test_copies_of_an_edge_do_not_collide(self):
         edges = [(1, 2, 3), (4, 5, 6), (1, 2, 3), (1, 2, 3)]
-        assert is_partial_steiner(edges, 2) is None
-        assert partial_steiner_oracle(edges, 2) is None
+        assert is_partial_steiner(edges, 3, 2) is None
+        assert partial_steiner_oracle(edges, 3, 2) is None
 
     def test_least_of_several_collisions(self):
         edges = [(3, 4, 5), (2, 4, 5), (1, 2, 6), (1, 2, 7), (1, 3, 4), (1, 2, 6)]
-        assert is_partial_steiner(edges, 2) == partial_steiner_oracle(edges, 2) == (
+        assert is_partial_steiner(edges, 3, 2) == partial_steiner_oracle(edges, 3, 2) == (
             SteinerWitness((1, 2, 6), (1, 2, 7), (1, 2))
         )
 
@@ -343,7 +356,7 @@ class TestPartialSteiner:
                  for _ in range(rng.randint(0, 8))]
         edges += rng.choices(edges, k=rng.randint(0, 3)) if edges else []
         for ell in range(k):
-            assert is_partial_steiner(edges, ell) == partial_steiner_oracle(edges, ell)
+            assert is_partial_steiner(edges, k, ell) == partial_steiner_oracle(edges, k, ell)
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from((3, 4)).flatmap(lambda k: st.tuples(
@@ -355,10 +368,10 @@ class TestPartialSteiner:
     def test_matches_oracle(self, case):
         k, edges, ell = case
         edges = edges + edges[::3]  # copies of edges, which are no collision
-        assert is_partial_steiner(edges, ell) == partial_steiner_oracle(edges, ell)
+        assert is_partial_steiner(edges, k, ell) == partial_steiner_oracle(edges, k, ell)
 
     @pytest.mark.parametrize("edges,ell", [
-        ([(1, 2, 3), (1, 2), (2, 3, 4)], 1),  # edges of two lengths
+        ([(1, 2, 3), (1, 2), (2, 3, 4)], 1),  # edges of two lengths: both refuse
         ([(1, 2, 3), (1, 2, 4)], 1),
         ([(True, 2, 3), (1, 2, 4)], 1),  # True == 1 as a vertex, as in the oracle
         ([[1, 2, 3], [4, 5, 6], [1, 2, 3]], 2),  # list edges, one copied
@@ -366,7 +379,13 @@ class TestPartialSteiner:
         ([(1, 2, 3), (4, 5, 6)], 0),
     ])
     def test_other_inputs_match_oracle(self, edges, ell):
-        assert is_partial_steiner(edges, ell) == partial_steiner_oracle(edges, ell)
+        def answer(check):
+            try:
+                return check(edges, 3, ell)
+            except ValueError:
+                return ValueError
+
+        assert answer(is_partial_steiner) == answer(partial_steiner_oracle)
 
 
 class TestAssembly:
@@ -379,7 +398,7 @@ class TestAssembly:
         assert glued.v == p * p + p + 1 == 307
         # two lines share one point, so no cross-line edge collisions
         assert len(glued.edges) == len(plane.lines) * system.edge_count
-        assert is_partial_steiner(glued.edges, 2) is None
+        assert is_partial_steiner(glued.edges, 3, 2) is None
 
     def test_seed_changes_layout_not_validity(self):
         system = toy_blowup()
@@ -388,7 +407,7 @@ class TestAssembly:
         b = assemble_h(system, plane, seed=2)
         assert a.edges != b.edges
         assert assemble_h(system, plane, seed=1).edges == a.edges
-        assert is_partial_steiner(b.edges, 2) is None
+        assert is_partial_steiner(b.edges, 3, 2) is None
 
     def test_provenance_tracks_lines(self):
         system = toy_blowup()
