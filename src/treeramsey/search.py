@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import operator
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial, reduce
 from typing import Optional, Sequence
@@ -429,15 +430,17 @@ def _search_levels(N, profile_color, spec_fields, color, budget):
     def extend(d, y, top, opts, masks):
         """Try l_d with x_{d-1} - 1 = y; records of l_2 .. l_{d-1} reach
         `top` and `opts` holds the connector offsets still possible."""
+        if d == special_at:
+            # l_d enters only the last segment of the special edge's profile
+            head = tuple(max(word[a + 1 : b + 1]) for a, b in zip(cuts, cuts[1:-1]))
+            low = max(word[cuts[-2] + 1 : d], default=0)
         for c in range(1, N + 1):
             if y >> (c - 1) & 1:
                 continue  # unrealizable: x_d would not exceed x_{d-1}
             tick()
             word[d] = c
             new_opts = opts & ~(1 << c) if c > top else opts
-            if d == special_at and edge_color(
-                tuple(max(word[a + 1 : b + 1]) for a, b in zip(cuts, cuts[1:]))
-            ) != color:
+            if d == special_at and edge_color(head + (max(low, c),)) != color:
                 counters.prunes += 1
                 continue
             new_masks = admit(d, new_opts, masks)
@@ -695,95 +698,158 @@ def verify_stepup_avoidance(
     )
 
 
+def _connected_order(through, i: int) -> list[int]:
+    """Target vertices i .. v in the order `find_ordered_copy` places
+    them once 1 .. i-1 are placed: i, then each time the least-index
+    vertex sharing an edge (`through`, the target's incidence lists)
+    with a placed one, or the least-index vertex when none does."""
+    order, rest = [i], list(range(i + 1, len(through)))
+    while rest:
+        v = next((j for j in rest if any(q < i or q in order for e in through[j] for q in e)),
+                 rest[0])
+        rest.remove(v)
+        order.append(v)
+    return order
+
+
 def find_ordered_copy(
     host: OrderedHypergraph, target: OrderedHypergraph
 ) -> Optional[tuple[int, ...]]:
     """Least order-preserving embedding of target into host, or None.
 
-    Target vertices are placed in index order, each image above the
-    previous one and low enough to leave room for the rest.  A candidate
-    needs at least the target vertex's degree, and every target edge
-    whose largest vertex is i is checked against the host once i is
-    placed.  The candidates for i are drawn from the host's incidence
-    lists (`OrderedHypergraph.incidence`), which are cached on the host
-    and so built once for every target embedded into it:
+    One depth-first search decides whether an embedding extends fixed
+    images of target vertices 1 .. i-1.  It places i first, then the
+    rest in connected order (`_connected_order`): next is the
+    least-index vertex sharing a target edge with the placed ones.
+    Candidates are tried in increasing order and drawn from the host's
+    incidence lists (`OrderedHypergraph.incidence`, cached on the host):
 
-    * Forced last vertex.  When i is the largest vertex of a target edge,
-      the image of i must complete the images `key` of the edge's other
-      vertices to a host edge, from above: the candidates are the last
-      vertices of the host edges through key[-1] that begin with `key`,
-      found once per key and call.  In a partial (k, k-1)-system there
-      is at most one.
-    * Neighbour restriction.  Otherwise, when i shares an edge with
-      earlier target vertices, its image must share a host edge with
-      each of their images.
-    * A vertex with no earlier neighbour scans every position in range.
+    * An image lies above the image of the nearest placed vertex below
+      it in index order and below that of the nearest placed vertex
+      above it, leaving room for the vertices between.
+    * For each target edge e through the vertex that holds placed
+      vertices, the image sits at the vertex's position in e in a host
+      edge that holds the placed images of e at theirs, read from the
+      incidence list of one of them.  With every other vertex of e
+      placed, these are the completions of their images, in any
+      position of e; a partial (k, k-1)-system has at most one.  The
+      candidates lie in these sets for every such e.
+    * A vertex with no placed neighbour takes any position in range.
+    * A candidate needs at least the target vertex's degree.
 
-    Why the image stays least: each rule drops only positions that no
-    embedding of the placed prefix can use (a completion of `key` below
-    key[-1] is below the range too), so the candidates of i include
-    every position a scan of the whole range would accept, and they are
-    tried in increasing order.  The depth-first search therefore returns
-    the lexicographically least image tuple, the one that scanning every
-    host position returns.
+    Each rule drops only positions that no embedding of the placed
+    images uses: images increase with the vertex, so the image of an
+    edge is a host edge with each image at its vertex's position.  An
+    edge is checked when its last vertex is placed, by that vertex's
+    edge rule (at k = 1, where host and target share the uniformity, by
+    its degree).  So the search finds an embedding whenever one extends
+    the fixed images.
+
+    The least image comes from fixing vertices 1, 2, ... in turn, as
+    `_search_levels` fixes the bits of x_1.  With 1 .. i-1 fixed at their
+    least images, the search tries the images of i in increasing order,
+    each below the image of i in the last embedding found (which extends
+    the fixed images), and explores each in full: the first embedding it
+    finds gives i its least image, and when it finds none, the last
+    embedding's image of i is the least.  Once the connected order from
+    i is the index order, one search capped by the last embedding's
+    image of i ends the work: in index order the first embedding found
+    is the lexicographically least, the one a scan of every host
+    position returns.  So a target in which every vertex after the
+    first shares an edge with an earlier one, such as a canonical revG
+    member, runs one search in index order.
     """
     if not target.edges:
         raise ValueError("target must have at least one edge")
-    host_edges = host.edge_set
-    incidence = host.incidence
-    hv, tv = host.v, target.v
-    target_deg = [len(through) for through in target.incidence]
-    edges_by_max: list[list[tuple[int, ...]]] = [[] for _ in range(tv + 1)]
-    earlier: list[set[int]] = [set() for _ in range(tv + 1)]
-    for e in target.edges:
-        edges_by_max[e[-1]].append(e)
-        for idx, p in enumerate(e):
-            earlier[p].update(e[:idx])
+    if host.uniformity != target.uniformity:
+        return None
+    incidence, hv, tv = host.incidence, host.v, target.v
+    through = target.incidence
+    image = [0] * (tv + 2)  # image[0] and image[tv + 1] stand for the host's ends
+    image[tv + 1] = hv + 1
+    # Edge patterns by (vertex, edge, its placed vertices), and their
+    # sorted candidates by the placed images, kept for the call.
+    patterns: dict = {}
+    pools: dict = {}
 
-    image = [0] * (tv + 1)
-    near: dict[int, frozenset[int]] = {}
-    forced: dict[tuple[int, ...], list[int]] = {}
+    def plan(i):
+        """The steps that place i, then the rest in connected order, with
+        1 .. i-1 placed; and whether that is the index order."""
+        order = _connected_order(through, i)
+        placed = set(range(1, i))
+        steps = []
+        for v in order:
+            edges = []
+            for e in through[v]:
+                known = tuple(q for q in e if q in placed)
+                if known:
+                    edges.append(patterns.setdefault((v, e, known), (
+                        len(patterns), e.index(v),
+                        operator.itemgetter(*map(e.index, known)), operator.itemgetter(*known),
+                    )))
+            below = max((p for p in placed if p < v), default=0)
+            above = min((p for p in placed if p > v), default=tv + 1)
+            steps.append((v, below, above, edges))
+            placed.add(v)
+        return steps, order == list(range(i, tv + 1))
 
-    def neighbours(u):
-        """u and every host vertex that shares an edge with it."""
-        if u not in near:
-            near[u] = frozenset(p for e in incidence[u] for p in e)
-        return near[u]
+    def matches(pattern):
+        """Sorted host vertices at position `at` of the host edges that
+        hold the placed images of the pattern's edge at their positions."""
+        pid, at, known_positions, known_images = pattern
+        key = (pid, known_images(image))
+        if key not in pools:
+            placed = key[1]  # an int for one placed vertex, else a tuple
+            anchor = placed if type(placed) is int else placed[0]
+            pools[key] = sorted(
+                {h[at] for h in incidence[anchor] if known_positions(h) == placed}
+            )
+        return pools[key]
 
-    def candidates(i, lo, hi):
-        if edges_by_max[i]:
-            key = tuple(image[p] for p in edges_by_max[i][0][:-1])
-            if key not in forced:
-                through = incidence[key[-1]] if key else host.edges
-                forced[key] = sorted(e[-1] for e in through if e[:-1] == key)
-            return [c for c in forced[key] if lo <= c <= hi]
-        if earlier[i]:
-            common = frozenset.intersection(*(neighbours(image[j]) for j in earlier[i]))
-            return sorted(c for c in common if lo <= c <= hi)
-        return range(lo, hi + 1)
-
-    # Depth-first over the target vertices.  A loop, not a recursive
-    # closure, so no reference cycle keeps the host's views alive after
-    # the call; pending[i] holds the candidates of i not yet tried.
-    pending = [iter(())] * (tv + 1)
-    pending[1] = iter(candidates(1, 1, hv - tv + 1))
-    i = 1
-    while i:
-        for cand in pending[i]:
-            if len(incidence[cand]) < target_deg[i]:
-                continue
-            image[i] = cand
-            # images increase with the vertex, so an edge's image is sorted
-            if all(tuple(image[p] for p in e) in host_edges for e in edges_by_max[i]):
-                break
+    def candidates(step, top):
+        v, below, above, edges = step
+        need = len(through[v])
+        lo = image[below] + v - below
+        hi = min(image[above] - (above - v), top)
+        if edges:
+            pool = matches(edges[0])
+            if len(edges) > 1:
+                pool = sorted(set(pool).intersection(*map(matches, edges[1:])))
+            pool = pool[bisect_left(pool, lo) : bisect_right(pool, hi)]
         else:
-            i -= 1
-            continue
-        if i == tv:
-            return tuple(image[1:])
-        i += 1
-        pending[i] = iter(candidates(i, image[i - 1] + 1, hv - (tv - i)))
-    return None
+            pool = range(lo, hi + 1)
+        return (x for x in pool if len(incidence[x]) >= need)
+
+    def embed(steps, top):
+        """Whether the steps complete an embedding, the first image at
+        most `top`; the embedding found is left in `image`."""
+        # A loop, not a recursive closure, so no reference cycle keeps
+        # the host's views alive after the call; pending[s] holds the
+        # candidates of step s not yet tried.
+        pending = [candidates(steps[0], top)] * len(steps)
+        s = 0
+        while s >= 0:
+            c = next(pending[s], None)
+            if c is None:
+                s -= 1
+                continue
+            image[steps[s][0]] = c
+            if s == len(steps) - 1:
+                return True
+            s += 1
+            pending[s] = candidates(steps[s], hv)
+        return False
+
+    best = None
+    for i in range(1, tv + 1):
+        steps, in_order = plan(i)
+        if embed(steps, hv if best is None else best[i] if in_order else best[i] - 1):
+            best = image[:]
+        elif best is None:
+            return None
+        if in_order:
+            return tuple(best[1:-1])
+        image[i] = best[i]
 
 
 def contains_family_member(host: OrderedHypergraph, spec: FamilySpec) -> bool:

@@ -1179,6 +1179,7 @@ class TestReproducibility:
     # sha256 of the `mc run --trials 3 --seed 11` report on that glued.json
     PINNED_MC = {
         (3, 3, 3): "50c2bbbb3ebcdc6a75662c98e9abd307b8e762b89886ae869a33defe8908c860",
+        (4, 3, 2): "8e2e5684a3d38ff3d66f1c850a0c20dfca749a805569c4cfd20f95a235e31ddd",
         (4, 4, 2): "e111b6c05c5c04e3c36effdb9c61e2935ce4f07941e166966b3b3c5845f3eb2a",
     }
 

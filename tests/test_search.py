@@ -494,6 +494,29 @@ class TestOrderedCopy:
         target = canonical_member(FamilySpec(3, 3, (1, 2), FLAVOR_G))
         assert find_ordered_copy(host, target) is not None
 
+    def test_blowup_frontier_completes(self):
+        # The (4,3,(1,2)) blow-up at m = 4: 80 vertices, 64 edges.  G's
+        # x_0 and connectors share no edge with each other, so placing
+        # in index order scanned every position for all four (seconds
+        # per ordering); the connected order places each through an edge.
+        system = build_blowup(4, 3, (1, 2), m=4)
+        spec = FamilySpec(3, 4, (1, 2), FLAVOR_G)
+        targets = [canonical_member(spec.with_flavor(fl)) for fl in (FLAVOR_G, FLAVOR_REVG)]
+        found = 0
+        for seed in range(5):
+            host = seeded_ordering(system, seed)
+            for target in targets:
+                image = find_ordered_copy(host, target)
+                if image is None:
+                    continue
+                found += 1
+                assert len(image) == target.v
+                assert all(a < b for a, b in zip(image, image[1:]))
+                assert 1 <= image[0] and image[-1] <= host.v
+                for e in target.edges:
+                    assert tuple(image[p - 1] for p in e) in host.edge_set
+        assert found
+
     def test_clean_when_absent(self):
         host = OrderedHypergraph(5, ((1, 2, 3),))
         target = OrderedHypergraph(4, ((1, 2, 3), (2, 3, 4)))
@@ -591,6 +614,50 @@ class TestOrderedCopyMatchesOracle:
                 outcomes.add(expected is None)
         assert outcomes == {True, False}
 
+    def test_blowup_orderings_at_n_above_k(self):
+        # (k, n) = (3, 4): G's first four vertices share no edge, so its
+        # placement order is not the index order; revG's is.
+        system = build_blowup(4, 3, (1, 2), m=2)
+        spec = FamilySpec(3, 4, (1, 2), FLAVOR_G)
+        targets = [canonical_member(spec.with_flavor(fl)) for fl in (FLAVOR_G, FLAVOR_REVG)]
+        for seed in range(10):
+            host = seeded_ordering(system, seed)
+            for target in targets:
+                assert find_ordered_copy(host, target) == find_ordered_copy_by_scan(host, target)
+
+    def test_both_placement_paths(self, monkeypatch):
+        # A target whose connected order is the index order from vertex 1
+        # runs one search in index order; any other fixes vertices one by
+        # one.  Canonical members of random specs in random hosts take both.
+        orders = []
+        connected_order = search_module._connected_order
+
+        def spy(through, i):
+            orders.append(connected_order(through, i))
+            return orders[-1]
+
+        monkeypatch.setattr(search_module, "_connected_order", spy)
+        kinds = set()
+        rng = random.Random(20261019)
+        for _ in range(200):
+            k = rng.choice((3, 4))
+            n = rng.randint(k, k + 1)
+            I = (1, 2) + tuple(sorted(rng.sample(range(3, n + 1), k - 3)))
+            if not is_separated(I, n, k):
+                continue
+            target = canonical_member(FamilySpec(k, n, I, rng.choice((FLAVOR_G, FLAVOR_REVG))))
+            v = rng.randint(target.v, target.v + 5)
+            edges = _random_edges(rng, range(1, v + 1), k, rng.choice((0.2, 0.5)))
+            host = OrderedHypergraph(v, edges or ((tuple(range(1, k + 1))),))
+            orders.clear()
+            image = find_ordered_copy(host, target)
+            assert image == find_ordered_copy_by_scan(host, target), (host, target)
+            if orders:  # no search runs when the host is too small
+                in_order = len(orders) == 1 and orders[0] == list(range(1, target.v + 1))
+                kinds.add(("index order" if in_order else "fix-and-test", image is not None))
+        assert kinds == {(path, found) for path in ("index order", "fix-and-test")
+                         for found in (False, True)}
+
     def test_glued_system_ordering(self):
         # 871 vertices and 15,678 edges; the scan takes about a second.
         glued = assemble_h(build_blowup(3, 3, (1, 2), m=3), build_projective_plane(29), seed=0)
@@ -617,8 +684,13 @@ class TestOrderedCopyMatchesOracle:
          (1, 2, 3, 4, 5)),
         # 1-uniform: an edge's other vertices are none, so any host edge completes
         (OrderedHypergraph(5, ((5,), (2,), (4,))), OrderedHypergraph(2, ((1,), (2,))), (2, 4)),
+        # placed 1, 3, 5, 2, 4, the first embedding is (1, 2, 3, 5, 6); it
+        # gives 1 and 2 their least images, but not 3 .. 5 the least rest
+        (OrderedHypergraph(9, ((1, 3, 6), (1, 3, 9), (2, 4, 9), (2, 5, 6))),
+         OrderedHypergraph(5, ((1, 3, 5), (2, 4, 5))),
+         (1, 2, 3, 4, 9)),
     ], ids=["completion-below-key", "two-completions", "two-completions-unsorted",
-            "one-uniform"])
+            "one-uniform", "first-embedding-not-least"])
     def test_explicit_hosts(self, host, target, image):
         assert find_ordered_copy_by_scan(host, target) == image
         assert find_ordered_copy(host, target) == image
