@@ -699,10 +699,11 @@ def verify_stepup_avoidance(
 
 
 def _connected_order(through, i: int) -> list[int]:
-    """Target vertices i .. v in the order `find_ordered_copy` places
-    them once 1 .. i-1 are placed: i, then each time the least-index
-    vertex sharing an edge (`through`, the target's incidence lists)
-    with a placed one, or the least-index vertex when none does."""
+    """The target vertices from i on, in the order `find_ordered_copy`
+    places them once 1 .. i-1 are placed: i, then each time the
+    least-index vertex sharing an edge (`through`, the target's
+    incidence lists) with a placed one, or the least-index vertex when
+    none does."""
     order, rest = [i], list(range(i + 1, len(through)))
     while rest:
         v = next((j for j in rest if any(q < i or q in order for e in through[j] for q in e)),
