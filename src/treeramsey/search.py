@@ -720,10 +720,9 @@ def find_ordered_copy(
 
     One depth-first search decides whether an embedding extends fixed
     images of target vertices 1 .. i-1.  It places i first, then the
-    rest in connected order (`_connected_order`): next is the
-    least-index vertex sharing a target edge with the placed ones.
-    Candidates are tried in increasing order and drawn from the host's
-    incidence lists (`OrderedHypergraph.incidence`, cached on the host):
+    rest in connected order (`_connected_order`), trying candidates in
+    increasing order, drawn from the host's incidence lists
+    (`OrderedHypergraph.incidence`, cached on the host):
 
     * An image lies above the image of the nearest placed vertex below
       it in index order and below that of the nearest placed vertex
@@ -733,32 +732,28 @@ def find_ordered_copy(
       edge that holds the placed images of e at theirs, read from the
       incidence list of one of them.  With every other vertex of e
       placed, these are the completions of their images, in any
-      position of e; a partial (k, k-1)-system has at most one.  The
-      candidates lie in these sets for every such e.
+      position of e; a partial (k, k-1)-system has at most one.
     * A vertex with no placed neighbour takes any position in range.
     * A candidate needs at least the target vertex's degree.
 
     Each rule drops only positions that no embedding of the placed
     images uses: images increase with the vertex, so the image of an
     edge is a host edge with each image at its vertex's position.  An
-    edge is checked when its last vertex is placed, by that vertex's
-    edge rule (at k = 1, where host and target share the uniformity, by
-    its degree).  So the search finds an embedding whenever one extends
-    the fixed images.
+    edge is checked by the edge rule of its last vertex placed (at
+    k = 1, by the degree rule, host and target sharing the uniformity).
 
     The least image comes from fixing vertices 1, 2, ... in turn, as
     `_search_levels` fixes the bits of x_1.  With 1 .. i-1 fixed at their
-    least images, the search tries the images of i in increasing order,
-    each below the image of i in the last embedding found (which extends
-    the fixed images), and explores each in full: the first embedding it
-    finds gives i its least image, and when it finds none, the last
-    embedding's image of i is the least.  Once the connected order from
-    i is the index order, one search capped by the last embedding's
-    image of i ends the work: in index order the first embedding found
-    is the lexicographically least, the one a scan of every host
-    position returns.  So a target in which every vertex after the
-    first shares an edge with an earlier one, such as a canonical revG
-    member, runs one search in index order.
+    least images, the search tries each image of i, in increasing order
+    and below its image in the last embedding found (which extends the
+    fixed images), in full: the first embedding found gives i its least
+    image, and if none is found the last embedding's is the least.
+    Once the connected order from i is the index order, one search
+    capped by the last embedding's image of i ends the work: in index
+    order the first embedding found is the lexicographically least, the
+    one a scan of every host position returns.  A target whose every
+    vertex after the first shares an edge with an earlier one, such as
+    a canonical revG member, therefore runs one search in index order.
     """
     if not target.edges:
         raise ValueError("target must have at least one edge")
