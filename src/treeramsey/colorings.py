@@ -4,10 +4,10 @@ A base coloring assigns a color to every r-subset of [n], materialized
 as a flat table keyed by colex rank.  A stepped coloring lifts a
 coloring of (k-1)-subsets of [N] to a 4-coloring of k-subsets of the
 2**N leaves of the depth-N tree: combs are colored through the
-projection, non-combs (k >= 4 only) by their split type.  The base
-table is materialized up front; a stepped coloring fills a table keyed
-by the query's level profile as queries arrive, so it never holds more
-than depth**(k-1) entries.
+projection, non-combs (k >= 4 only) by their split type, both read off
+the level profile by `trees`.  The base table is materialized up front;
+a stepped coloring fills a table keyed by that profile as queries
+arrive, so it never holds more than depth**(k-1) entries.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .trees import TreeParams
+from .trees import ShapeKind, TreeParams, level_profile, profile_shape
 
 BINARY = "binary"
 Z4 = "z4"
@@ -39,18 +39,6 @@ def subsets_colex(n: int, r: int):
     for last in range(r, n + 1):
         for rest in subsets_colex(last - 1, r - 1):
             yield rest + (last,)
-
-
-def level_profile(elems: Sequence[int]) -> tuple[int, ...]:
-    """Bit lengths of (a-1) ^ (b-1) over consecutive leaves.
-
-    Each entry is depth + 1 minus that pair's ancestor level, so the
-    profile is the level word of the leaf set.  Reflecting every leaf
-    (x -> 2**N + 1 - x) complements a-1 and b-1 in N bits and leaves
-    their XOR unchanged; it also reverses the leaf order, so the
-    reflected set's profile is this one reversed.
-    """
-    return tuple([((a - 1) ^ (b - 1)).bit_length() for a, b in zip(elems, elems[1:])])
 
 
 def _query(subset: Sequence[int], k: int, ground: int) -> tuple[int, ...]:
@@ -114,7 +102,7 @@ class SteppedColoring:
     """
 
     inner: Union[BaseColoring, "SteppedColoring"]
-    # Colors by level profile (see level_profile).  Comb versus split,
+    # Colors by level profile (see trees.level_profile).  Comb versus split,
     # the split type and the projection are all functions of the level
     # word, so it determines the color.
     # Filled lazily by _color_of_profile; left out of equality, hashing
@@ -162,23 +150,16 @@ class SteppedColoring:
         color = self._table.get(profile)
         if color is not None:
             return color
-        depth = self.inner.ground_size
-        levels = [depth - p + 1 for p in profile]
-        k = len(levels) + 1
-        decreasing = all(a > b for a, b in zip(levels, levels[1:]))
-        increasing = not decreasing and all(
-            a < b for a, b in zip(levels, levels[1:])
-        )
-        if decreasing or increasing:
-            c = self.inner._eval(tuple(sorted(levels)))
-            # k = 3 gives a left (decreasing) comb c; k >= 4 swaps
-            color = c if decreasing == (k == 3) else 3 - c
-        else:
-            # Non-comb: the minimum consecutive level is attained exactly
-            # once and marks the boundary between left and right
-            # descendants; a (k-1, 1) split is 1, (1, k-1) is 2, else 0.
-            left = levels.index(min(levels)) + 1
+        kind, left = profile_shape(profile)
+        k = len(profile) + 1
+        if kind is ShapeKind.SPLIT:
+            # a (k-1, 1) split is 1, (1, k-1) is 2, a balanced one 0
             color = 1 if left == k - 1 else 2 if left == 1 else 0
+        else:
+            depth = self.inner.ground_size
+            c = self.inner._eval(tuple(sorted([depth + 1 - p for p in profile])))
+            # k = 3 gives a left comb c; k >= 4 swaps
+            color = c if (kind is ShapeKind.LEFT_COMB) == (k == 3) else 3 - c
         self._table[profile] = color
         return color
 
@@ -278,8 +259,8 @@ def search_base_coloring(
 def export_coloring(c: BaseColoring) -> str:
     """Canonical text form: header line, then one colex-ordered line per subset."""
     lines = [f"coloring {c.uniformity} {c.ground_size} {c.palette}"]
-    for subset in subsets_colex(c.ground_size, c.uniformity):
-        lines.append(" ".join(map(str, subset)) + f" {c.table[colex_rank(subset)]}")
+    for i, subset in enumerate(subsets_colex(c.ground_size, c.uniformity)):
+        lines.append(" ".join(map(str, subset)) + f" {c.table[i]}")
     return "\n".join(lines) + "\n"
 
 

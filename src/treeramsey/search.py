@@ -10,19 +10,19 @@ with incremental pruning and reduces each J to a nonemptiness question.
 There are two engines, and the type of the coloring picks one:
 
 * Level space, for a `SteppedColoring`.  Its color is a function of the
-  edge's level profile, since comb versus split, the split type and the
-  projection all are, so the engine asks the coloring's profile table
-  directly.  Every profile the search asks about is a function of the
-  chain's level word l_1 ... l_n, l_i = bl((x_{i-1}-1) ^ (x_i-1)) with
-  bl the bit length: the level of chain leaves x_i < x_j is
-  max(l_{i+1..j}).  A word is realizable exactly when every two equal
-  letters have a larger letter between them.  A connector v in
-  [x_0, x_1] enters only through its offset t = bl((v-1) ^ (x_1-1)),
-  which is 0 (v = x_1), l_1 (v = x_0), or any b < l_1 whose bit b-1 is
-  set in x_1-1; that bit is forced to 0 exactly when b is a strict
-  left-to-right record of l_2 ... l_n.  The engine searches words,
-  never leaves, and never asks the leaf query `_eval` (see
-  `_search_levels`).
+  edge's level profile, which decides comb versus split and the split
+  type (`trees.profile_shape`) and gives the projection, so the engine
+  asks the coloring's profile table directly.  Every profile the search
+  asks about is a function of the chain's level word l_1 ... l_n,
+  l_i = bl((x_{i-1}-1) ^ (x_i-1)) with bl the bit length: the level of
+  chain leaves x_i < x_j is max(l_{i+1..j}).  A word is realizable
+  exactly when every two equal letters have a larger letter between
+  them.  A connector v in [x_0, x_1] enters only through its offset
+  t = bl((v-1) ^ (x_1-1)), which is 0 (v = x_1), l_1 (v = x_0), or any
+  b < l_1 whose bit b-1 is set in x_1-1; that bit is forced to 0
+  exactly when b is a strict left-to-right record of l_2 ... l_n.  The
+  engine searches words, never leaves, and never asks the leaf query
+  `_eval` (see `_search_levels`).
 * Leaf space, for every other evaluator (edge-membership tests, base
   tables and proxies of a coloring).  It enumerates increasing chains
   of leaves, memoizing each J's answer on (x_0, x_1, leaves), which
@@ -357,8 +357,8 @@ def _search_levels(N, profile_color, spec_fields, color, budget):
     """Exact search over level words for a stepped coloring of depth N.
 
     `profile_color` maps an edge's level profile to its color: a
-    `SteppedColoring`'s `_color_of_profile` (comb versus split, the
-    split type and the projection are all read off the level word), or
+    `SteppedColoring`'s `_color_of_profile` (the shape by
+    `trees.profile_shape` and the projection, both off the word), or
     for revF that method on the reversed profile, since reflection keeps
     every XOR (a-1) ^ (b-1) and reverses their order.
 

@@ -9,13 +9,15 @@ of its ancestor, and the shape (comb or split) of a set of leaves.
 Leaf x is identified with the N-bit integer x-1, so the ancestor level
 of x and y is N minus the position of the highest bit where they
 differ.  Tests validate this against an explicit parent-array tree.
+The level word (`level_profile`) and the shape rule read off it
+(`profile_shape`) live here alone; `colorings` reads both.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 class ShapeKind(enum.Enum):
@@ -81,10 +83,6 @@ class Shape:
     def balanced(self) -> bool:
         return self.kind is ShapeKind.SPLIT and self.left_count >= 2 and self.right_count >= 2
 
-    @property
-    def head_split(self) -> bool:
-        return self.kind is ShapeKind.SPLIT and self.right_count == 1
-
 
 def ancestor_level(x: int, y: int, params: TreeParams) -> int:
     """Level of the greatest common ancestor of leaves x and y.
@@ -99,43 +97,58 @@ def ancestor_level(x: int, y: int, params: TreeParams) -> int:
     return params.depth - ((x - 1) ^ (y - 1)).bit_length() + 1
 
 
+def level_profile(elems: Sequence[int]) -> tuple[int, ...]:
+    """Bit lengths of (a-1) ^ (b-1) over consecutive leaves.
+
+    Each entry is depth + 1 minus that pair's ancestor level, so the
+    profile is the level word of the leaf set.  Reflecting every leaf
+    (x -> 2**N + 1 - x) complements a-1 and b-1 in N bits and leaves
+    their XOR unchanged; it also reverses the leaf order, so the
+    reflected set's profile is this one reversed.
+    """
+    return tuple([((a - 1) ^ (b - 1)).bit_length() for a, b in zip(elems, elems[1:])])
+
+
+def profile_shape(profile: Sequence[int]) -> tuple[ShapeKind, int]:
+    """Shape of a leaf set with this level profile, and its left count.
+
+    A strictly rising profile (falling levels) is a left comb and a
+    strictly falling one a right comb; any other is a split.  The left
+    part, the leaves below the left child of the ancestor of min X and
+    max X, ends at the profile's largest entry b (of a pair, only this
+    count means anything).  b is attained once: it is the bit length of
+    (min X - 1) ^ (max X - 1), so every leaf agrees with min X above
+    bit b - 1 and sorted order puts the leaves with that bit clear
+    first; one consecutive pair differs at bit b - 1, the rest below.
+    """
+    if all(a < b for a, b in zip(profile, profile[1:])):
+        return ShapeKind.LEFT_COMB, len(profile)
+    if all(a > b for a, b in zip(profile, profile[1:])):
+        return ShapeKind.RIGHT_COMB, 1
+    return ShapeKind.SPLIT, profile.index(max(profile)) + 1
+
+
 def split_parts(X: LeafSet) -> tuple[LeafSet, LeafSet]:
     """Partition X by descendant side below the ancestor of min(X), max(X)."""
     if len(X) < 2:
         raise ValueError("u_X undefined")
-    elems = X.elements
-    level = ancestor_level(elems[0], elems[-1], X.params)
-    bit = X.params.depth - level
-    left = tuple(x for x in elems if not ((x - 1) >> bit) & 1)
-    right = tuple(x for x in elems if ((x - 1) >> bit) & 1)
-    return LeafSet(left, X.params), LeafSet(right, X.params)
+    _, left = profile_shape(level_profile(X.elements))
+    return LeafSet(X.elements[:left], X.params), LeafSet(X.elements[left:], X.params)
 
 
 def consecutive_levels(X: LeafSet) -> tuple[int, ...]:
     """Ancestor levels of consecutive pairs of X, in order."""
     if len(X) < 2:
         raise ValueError("consecutive levels undefined below 2 leaves")
-    elems = X.elements
-    return tuple(
-        ancestor_level(a, b, X.params) for a, b in zip(elems, elems[1:])
-    )
+    return tuple([X.params.depth + 1 - p for p in level_profile(X.elements)])
 
 
 def classify(X: LeafSet) -> Shape:
-    """Comb/split shape of a leaf set of size >= 3.
-
-    Left comb: consecutive ancestor levels strictly decrease; right
-    comb: strictly increase; otherwise an (l, r)-split per split_parts.
-    """
+    """Comb/split shape of a leaf set of size >= 3, by `profile_shape`."""
     if len(X) < 3:
         raise ValueError("shape undefined below 3 leaves")
-    levels = consecutive_levels(X)
-    if all(a > b for a, b in zip(levels, levels[1:])):
-        return Shape(ShapeKind.LEFT_COMB, len(X) - 1, 1)
-    if all(a < b for a, b in zip(levels, levels[1:])):
-        return Shape(ShapeKind.RIGHT_COMB, 1, len(X) - 1)
-    left, right = split_parts(X)
-    return Shape(ShapeKind.SPLIT, len(left), len(right))
+    kind, left = profile_shape(level_profile(X.elements))
+    return Shape(kind, left, len(X) - left)
 
 
 def projection(X: LeafSet) -> tuple[int, ...]:

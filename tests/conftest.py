@@ -98,6 +98,22 @@ def pentagon_labellings():
     ]
 
 
+def realizable(word) -> bool:
+    """Whether every two equal letters of the word have a larger letter
+    between them, which makes it the level profile of some leaf set."""
+    return all(
+        max(word[i + 1 : j], default=0) > word[i]
+        for i, j in itertools.combinations(range(len(word)), 2)
+        if word[i] == word[j]
+    )
+
+
+def realizable_profiles(depth, length):
+    """Every realizable word of the given length over 1..depth."""
+    words = itertools.product(range(1, depth + 1), repeat=length)
+    return [w for w in words if realizable(w)]
+
+
 def all_zero_coloring(n):
     import math
 

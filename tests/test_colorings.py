@@ -33,8 +33,11 @@ from conftest import (
     all_zero_coloring,
     c4_coloring,
     int_max_str_digits,
+    pentagon_coloring,
     random_left_comb,
     random_right_comb,
+    realizable,
+    realizable_profiles,
 )
 
 
@@ -147,7 +150,7 @@ def reference_color(chi: SteppedColoring, X: tuple[int, ...]) -> int:
         assert chi.uniformity >= 4
         if shape.balanced:
             return 0
-        return 1 if shape.head_split else 2
+        return 1 if shape.right_count == 1 else 2
     if isinstance(inner, BaseColoring):
         c = inner.color_of(proj)
     else:
@@ -280,6 +283,60 @@ class TestReflection:
                 assert kind_ref is not ShapeKind.SPLIT and c_ref == 3
                 comb_zeros += 1
         assert comb_zeros and balanced_zeros  # both zero branches exercised
+
+
+class TestProfileMirror:
+    """Reversing a realizable profile maps its color c to 3 - c, except
+    on a balanced split, 0 both ways: reflection swaps left and right
+    combs with the same projection, and (k-1, 1) with (1, k-1) splits.
+    A split is balanced exactly when its largest entry is not at an end."""
+
+    @staticmethod
+    def _check(chi, profiles):
+        balanced = 0
+        for p in profiles:
+            c, c_rev = chi._color_of_profile(p), chi._color_of_profile(p[::-1])
+            if 0 < p.index(max(p)) < len(p) - 1:
+                assert c == c_rev == 0, p
+                balanced += 1
+            else:
+                assert c_rev == 3 - c, p
+        return balanced
+
+    @pytest.mark.parametrize(
+        "base,k,count",
+        [
+            (c4_coloring, 3, 12),
+            (c4_coloring, 4, 3480),
+            (pentagon_coloring, 3, 20),
+            (pentagon_coloring, 4, 30256),
+        ],
+    )
+    def test_every_profile(self, base, k, count):
+        chi = build_tower(base(), k).top
+        profiles = realizable_profiles(chi.depth, k - 1)
+        assert len(profiles) == count
+        assert (self._check(chi, profiles) > 0) == (k >= 4)
+
+    def test_k5_seeded(self):
+        base3 = BaseColoring.from_function(
+            2, 3, BINARY, lambda s: 0 if tuple(sorted(s)) == (1, 2) else 1
+        )
+        chi5 = build_tower(base3, 5).top
+        assert chi5.depth == 256
+        rng = random.Random(21)
+        profiles = []
+        while len(profiles) < 10_000:
+            alphabet = rng.sample(range(1, 257), rng.randint(3, 4))
+            word = tuple(rng.choice(alphabet) for _ in range(4))
+            if realizable(word):
+                profiles.append(word)
+        balanced = self._check(chi5, profiles)
+        combs = sum(
+            all(a < b for a, b in zip(p, p[1:])) or all(a > b for a, b in zip(p, p[1:]))
+            for p in profiles
+        )
+        assert balanced and combs
 
 
 class TestTower:

@@ -17,8 +17,9 @@ from treeramsey import (
     projection,
     split_parts,
 )
+from treeramsey.trees import level_profile, profile_shape
 
-from conftest import random_left_comb, random_right_comb
+from conftest import random_left_comb, random_right_comb, realizable_profiles
 
 
 def leafset(elements, depth):
@@ -114,6 +115,60 @@ class TestSplitParts:
             assert L.elements + R.elements == X.elements
 
 
+class TestSplitSidesMatchOracle:
+    """On every set of 3 to 6 leaves at depths 2-4, the left part is the
+    leaves below the left child of the ancestor of min X and max X in
+    the parent-array tree, and it ends at the profile's largest entry."""
+
+    def test_exhaustive(self, oracle_trees):
+        for N in (2, 3, 4):
+            tree, p = oracle_trees[N], TreeParams(N)
+            leaves = range(1, 2**N + 1)
+            pairs = list(itertools.permutations(leaves, 2))
+            delta = {(x, y): tree.delta(x, y) for x, y in pairs}
+            side = {(x, y): tree.side(x, y) for x, y in pairs}
+            for size in range(3, min(6, 2**N) + 1):
+                for X in itertools.combinations(leaves, size):
+                    top, last = delta[X[0], X[-1]], X[-1]
+                    left = tuple(
+                        x for x in X[:-1]
+                        if delta[x, last] == top and side[x, last] == "left"
+                    )
+                    profile = tuple(N + 1 - delta[a, b] for a, b in zip(X, X[1:]))
+                    assert level_profile(X) == profile
+                    assert profile.count(max(profile)) == 1
+                    S = LeafSet(X, p)
+                    L, R = split_parts(S)
+                    assert (L.elements, R.elements) == (left, X[len(left):])
+                    assert classify(S).left_count == len(left)
+
+
+class TestProfileShapeMirror:
+    """Reversing a profile, as reflecting the leaves does, swaps the two
+    combs and maps a split with left count l to one with k - l."""
+
+    def test_realizable_words_are_the_profiles(self):
+        for size in (3, 4):
+            sets = itertools.combinations(range(1, 17), size)
+            assert {level_profile(X) for X in sets} == set(realizable_profiles(4, size - 1))
+
+    def test_reversal(self):
+        swap = {
+            ShapeKind.LEFT_COMB: ShapeKind.RIGHT_COMB,
+            ShapeKind.RIGHT_COMB: ShapeKind.LEFT_COMB,
+            ShapeKind.SPLIT: ShapeKind.SPLIT,
+        }
+        seen = set()
+        for depth, length in ((8, 2), (8, 3), (8, 4), (6, 5)):
+            k = length + 1
+            for p in realizable_profiles(depth, length):
+                kind, left = profile_shape(p)
+                assert profile_shape(p[::-1]) == (swap[kind], k - left)
+                seen.add((k, kind, left))
+        # every split type occurs, (k-1, 1) and (1, k-1) included
+        assert {(5, ShapeKind.SPLIT, l) for l in range(1, 5)} <= seen
+
+
 class TestClassify:
     @pytest.mark.parametrize(
         "elements,depth,kind",
@@ -129,7 +184,7 @@ class TestClassify:
         shape = classify(leafset((1, 3, 4, 8), 3))
         assert shape.kind is ShapeKind.SPLIT
         assert (shape.left_count, shape.right_count) == (3, 1)
-        assert shape.head_split and not shape.balanced
+        assert shape.right_count == 1 and not shape.balanced
 
     def test_pairs_have_no_shape(self):
         with pytest.raises(ValueError, match="shape undefined below 3 leaves"):
