@@ -12,7 +12,8 @@ with x_I = x_0.  Flavors:
   revF / revG   the same graphs under the reversed vertex order
 
 Members are represented as ordered hypergraphs whose vertices are their
-positions 1..v under the total order, with role labels attached.
+positions 1..v under the total order, with role labels attached.  The
+rule above is `member_edges` and `placed_as_member`; every check reads it.
 """
 
 from __future__ import annotations
@@ -271,56 +272,58 @@ def canonical_member(spec: FamilySpec) -> OrderedHypergraph:
     return realize_blueprint(MemberBlueprint(spec, classes, tuple(range(len(classes)))))
 
 
+def member_edges(chain: Sequence[int], I: Sequence[int], assignment) -> list[tuple[int, ...]]:
+    """The edges of a member with chain x_0, ..., x_n and connectors
+    `assignment`, (J, x_J) pairs: first the special edge, the pair
+    (I, x_0), then for each pair in order {x_J} | {x_j : j in J}, each
+    edge sorted."""
+    return [tuple(sorted({v}.union(map(chain.__getitem__, J))))
+            for J, v in ((I, chain[0]), *assignment)]
+
+
+def placed_as_member(spec: FamilySpec, chain: Sequence[int], positions: list[int]) -> bool:
+    """Whether a chain x_0, ..., x_n and connector `positions` sit as in
+    a member of the spec's flavor: n + 1 chain vertices rising strictly,
+    or falling strictly for revF and revG; for F flavors each connector
+    between x_0 and x_1, ends included, and for G flavors the connectors
+    distinct and strictly between."""
+    step = operator.gt if spec.reversed_order else operator.lt
+    if len(chain) != spec.n + 1 or not all(map(step, chain, chain[1:])):
+        return False
+    lo, hi = sorted(chain[:2])
+    if spec.flavor in _ANCHORED_FLAVORS:
+        return all(lo <= p <= hi for p in positions)
+    return len(set(positions)) == len(positions) and all(lo < p < hi for p in positions)
+
+
 def is_member(H: OrderedHypergraph, spec: FamilySpec) -> bool:
     """Whether the labeled ordered hypergraph realizes some member of the family.
 
-    F flavors allow connector collisions and collapses onto the anchor
-    or x_1; G flavors demand distinct connectors strictly inside the
-    open interval.  The edge set must match the role structure exactly.
+    The labels give the chain (x0 for F flavors, xI for G, then x1 .. xn)
+    and the connectors xJ; they must sit as `placed_as_member` asks, cover
+    every vertex, and give exactly the edges `member_edges` lists.  For F
+    flavors an xI label, when present, must sit on x0.
     """
-    if spec.reversed_order:
-        return is_member(reverse(H), spec.with_flavor(
-            FLAVOR_F if spec.flavor == FLAVOR_REVF else FLAVOR_G
-        ))
     if H.labels is None:
         raise ValueError("member check requires role labels")
-
     labels = H.labels
-    anchor_role = role_distinguished(0) if spec.flavor == FLAVOR_F else ROLE_SPECIAL
-    needed = [anchor_role] + [role_distinguished(i) for i in range(1, spec.n + 1)]
+    anchored = spec.flavor in _ANCHORED_FLAVORS
+    needed = [role_distinguished(0) if anchored else ROLE_SPECIAL]
+    needed += [role_distinguished(i) for i in range(1, spec.n + 1)]
     needed += [role_connector(J) for J in spec.connectors]
     for role in needed:
         if role not in labels:
             raise ValueError(f"missing label {role!r}")
-    anchor = labels[anchor_role]
-    distinguished = [labels[role_distinguished(i)] for i in range(1, spec.n + 1)]
-    connector_pos = {J: labels[role_connector(J)] for J in spec.connectors}
-    if spec.flavor == FLAVOR_F and labels.get(ROLE_SPECIAL, anchor) != anchor:
+    placed = [labels[role] for role in needed]
+    chain, positions = placed[: spec.n + 1], placed[spec.n + 1 :]
+    if anchored and labels.get(ROLE_SPECIAL, chain[0]) != chain[0]:
         return False  # the special connector must sit on the anchor
-
-    chain = [anchor] + distinguished
-    if any(a >= b for a, b in zip(chain, chain[1:])):
-        return False
-    x1 = distinguished[0]
-    if spec.flavor == FLAVOR_F:
-        if any(not anchor <= p <= x1 for p in connector_pos.values()):
-            return False
-    else:  # G: distinct, strictly between
-        positions = list(connector_pos.values())
-        if len(set(positions)) != len(positions):
-            return False
-        if any(not anchor < p < x1 for p in positions):
-            return False
-
-    used = set(chain) | set(connector_pos.values())
-    if used != set(range(1, H.v + 1)):
-        return False
-
-    pos_of = {i: p for i, p in zip(range(1, spec.n + 1), distinguished)}
-    expected = {tuple(sorted({anchor} | {pos_of[i] for i in spec.I}))}
-    for J in spec.connectors:
-        expected.add(tuple(sorted({connector_pos[J]} | {pos_of[j] for j in J})))
-    return H.edge_set == frozenset(expected)
+    assignment = zip(spec.connectors, positions)
+    return (
+        placed_as_member(spec, chain, positions)
+        and set(placed) == set(range(1, H.v + 1))
+        and H.edge_set == frozenset(member_edges(chain, spec.I, assignment))
+    )
 
 
 # Placement of a connector class: collapse onto the anchor, collapse onto
@@ -370,15 +373,14 @@ def realize_blueprint(bp: MemberBlueprint) -> OrderedHypergraph:
     anchor = 1
     x1 = anchor + interior + 1
     v = spec.n + interior + 1
+    chain = (anchor, *range(x1, v + 1))
 
     labels = {ROLE_SPECIAL: anchor}
     if spec.flavor in _ANCHORED_FLAVORS:
         labels[role_distinguished(0)] = anchor
-    pos_of = {}
     for i in range(1, spec.n + 1):
-        pos_of[i] = x1 + (i - 1)
-        labels[role_distinguished(i)] = pos_of[i]
-    edges = {tuple(sorted({anchor} | {pos_of[i] for i in spec.I}))}
+        labels[role_distinguished(i)] = chain[i]
+    assignment = []
     for cls, place in zip(bp.classes, bp.placements):
         if place == PLACE_ANCHOR:
             pos = anchor
@@ -388,8 +390,9 @@ def realize_blueprint(bp: MemberBlueprint) -> OrderedHypergraph:
             pos = anchor + 1 + place
         for J in cls:
             labels[role_connector(J)] = pos
-            edges.add(tuple(sorted({pos} | {pos_of[j] for j in J})))
-    member = OrderedHypergraph(v, tuple(sorted(edges)), labels)
+            assignment.append((J, pos))
+    edges = tuple(sorted(member_edges(chain, spec.I, assignment)))
+    member = OrderedHypergraph(v, edges, labels)
     if spec.reversed_order:
         member = reverse(member)
     return member

@@ -61,6 +61,8 @@ from .families import (
     FamilySpec,
     OrderedHypergraph,
     connector_sets,
+    member_edges,
+    placed_as_member,
     reverse,
 )
 
@@ -132,11 +134,7 @@ class MonoCopyWitness:
     assignment: tuple[tuple[tuple[int, ...], int], ...]
 
     def edges(self, I: Sequence[int]) -> list[tuple[int, ...]]:
-        chain = self.distinguished
-        out = [tuple(sorted({chain[0]} | {chain[i] for i in I}))]
-        for J, v in self.assignment:
-            out.append(tuple(sorted({v} | {chain[j] for j in J})))
-        return out
+        return member_edges(self.distinguished, I, self.assignment)
 
     def to_json(self) -> dict:
         return {
@@ -241,7 +239,9 @@ def _search_chains_ascending(evaluator, spec_fields, color, budget):
     in increasing order.  The first complete chain found is therefore
     the lexicographically least one, the one the scan returns (the
     argument of `find_ordered_copy`), and both sources give each
-    connector its least leaf.
+    connector its least leaf.  The special edge and the connector
+    interval are the member rule of `families.member_edges` and
+    `families.placed_as_member`, inlined on this hot path.
     """
     k, n, I = spec_fields
     M = evaluator.ground_size
@@ -377,7 +377,9 @@ def _search_levels(N, profile_color, spec_fields, color, budget):
     takes its largest admissible offset t, hence its least leaf
     v = ((x_1 - 1) >> t << t) + 1.  Edge colors come from
     `profile_color`, cached per profile for the search; no leaf is
-    built to ask them.
+    built to ask them: the member rule (`families.member_edges`,
+    `families.placed_as_member`) is read in level form, each edge by its
+    profile and each connector of [x_0, x_1] by its offset.
     """
     k, n, I = spec_fields
     connectors_by_max = _connectors_by_max(n, k)
@@ -578,32 +580,23 @@ def find_mono_f_copy(
 def validate_witness(chi, spec: FamilySpec, witness: MonoCopyWitness) -> bool:
     """Re-check a witness from scratch against the coloring it claims.
 
-    The flavor must be the spec's; the chain must hold n+1 leaves of
-    [1, ground_size] in role order (rising for F, falling for revF); the
-    connector sets must be the spec's, each with a leaf between x_0 and
-    x_1; and every edge, rebuilt from the witness, must have the witness
+    The flavor must be the spec's, the chain and connectors must sit as
+    in a member (`families.placed_as_member`) with the chain in
+    [1, ground_size], the connector sets must be the spec's, and every
+    edge of the copy (`families.member_edges`) must have the witness
     color.  Edges are evaluated with `_eval`, the query every searchable
     coloring answers (tree colorings, their reflections, membership
     tests and proxies of them); the checks before it make each edge a
     sorted set of distinct leaves in range, as `_eval` requires.
     """
     chain = witness.distinguished
-    pairs = zip(chain, chain[1:])
-    if witness.flavor != spec.flavor or len(chain) != spec.n + 1:
+    if witness.flavor != spec.flavor or not placed_as_member(
+        spec, chain, [v for _, v in witness.assignment]
+    ):
         return False
-    if witness.flavor == FLAVOR_F:
-        if any(a >= b for a, b in pairs):
-            return False
-        lo, hi = chain[0], chain[1]
-    else:
-        if any(a <= b for a, b in pairs):
-            return False
-        lo, hi = chain[1], chain[0]
     if min(chain) < 1 or max(chain) > chi.ground_size:
         return False
     if {J for J, _ in witness.assignment} != set(map(tuple, spec.connectors)):
-        return False
-    if any(not lo <= v <= hi for _, v in witness.assignment):
         return False
     return all(
         len(edge) == chi.uniformity and chi._eval(edge) == witness.color

@@ -137,10 +137,12 @@ class BlowupSystem:
         return block.start + rank
 
     def iter_edges(self) -> Iterator[tuple[int, ...]]:
+        """Each transversal z of the classes in J, in product order,
+        extended by the vertex of V_J at z's rank in that order (the one
+        `extend_transversal` gives), which lies above every class vertex."""
         for J in self.omega:
-            ranges = [self.class_range(j) for j in J]
-            for z in itertools.product(*ranges):
-                yield tuple(sorted(z + (self.extend_transversal(J, z),)))
+            blocks = zip(self.block_range(J), itertools.product(*map(self.class_range, J)))
+            yield from (z + (v,) for v, z in blocks)
 
     @functools.cached_property
     def edges(self) -> tuple[tuple[int, ...], ...]:
@@ -534,26 +536,30 @@ def sample_ordering_and_search(
 
 def _sorted_edges(edges: list, k: int, v: int) -> Optional[list]:
     """The edges as sorted tuples, in order, when every edge is a list of
-    k distinct ints (by exact type, so no bool) in [1, v]; else None.
-    Checked over all edges at once at C speed: the types by `int_rows`,
-    then, once each edge is sorted, the columns by `increasing_within`."""
+    k distinct ints (by exact type, so no bool) in [1, v] and no two
+    edges are equal; else None.  Checked over all edges at once at C
+    speed: the types by `int_rows`, then, once each edge is sorted, the
+    columns by `increasing_within`, and repeats as equal neighbours."""
     lengths = int_rows(edges)
     if lengths is None or lengths - {k}:
         return None
     edges = sorted(map(tuple, map(sorted, edges)))
+    if any(map(operator.eq, edges, itertools.islice(edges, 1, None))):
+        return None
     return edges if increasing_within(edges, k, v) else None
 
 
 def read_system(path) -> BlowupSystem | SteinerSystem:
-    """Load a system file: positive integers v and k, edges, a
-    list of k-lists of distinct integers in [1, v], optional provenance,
-    a list (not read), and optional params, an object with integers n,
-    k, m and a list of integers I.  With params the file must hold
+    """Load a system file: positive integers v and k, edges, a list
+    of distinct k-lists of distinct integers in [1, v], optional
+    provenance, a list (not read), and optional params, an object with
+    integers n, k, m and a list of integers I.  With params the file must hold
     exactly that blow-up, which is returned; sizes are compared before
     edges, so params cannot force a large blow-up to be built.
     Otherwise it is a SteinerSystem.  The edges are checked all at once
     at C speed; only when that check fails are they checked one by one,
-    so that the error names the first bad edge."""
+    so that the error names the first bad edge, or else the first edge
+    that repeats an earlier one, as the file writes it."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = check_schema(
             json.load(fh), SYSTEM_SCHEMA, {"v": int, "k": int, "edges": list},
@@ -564,11 +570,17 @@ def read_system(path) -> BlowupSystem | SteinerSystem:
         raise ValueError(f"system v and k must be positive integers, got v = {v}, k = {k}")
     edges = _sorted_edges(doc["edges"], k, v)
     if edges is None:
-        bad = next(
+        bad = next((
             e for e in doc["edges"]
             if int_rows([e]) != {k} or not all(1 <= x <= v for x in e) or len(set(e)) != k
-        )
-        raise ValueError(f"edge {bad!r} is not {k} distinct vertices in [1, {v}]")
+        ), None)
+        if bad is not None:
+            raise ValueError(f"edge {bad!r} is not {k} distinct vertices in [1, {v}]")
+        seen = set()
+        for e in doc["edges"]:
+            if tuple(sorted(e)) in seen:
+                raise ValueError(f"edge {e!r} repeats an earlier edge of the system")
+            seen.add(tuple(sorted(e)))
     params = doc.get("params")
     if params is None:
         return SteinerSystem(v, k, tuple(edges), {})

@@ -787,6 +787,27 @@ class TestMalformedSteinerFiles:
         assert run(argv) == 2
         assert "params" in json.loads(capsys.readouterr().err)["error"]
 
+    # the file's third edge repeats its first; relabelling the file by an
+    # ordering would name the repeat in other vertices
+    @pytest.mark.parametrize("command", ["check", "assemble", "mc"])
+    def test_repeated_edge_is_named_as_the_file_writes_it(self, tmp_path, capsys, command):
+        from treeramsey import build_projective_plane
+        from treeramsey.steiner import SYSTEM_SCHEMA
+
+        path = self.write(tmp_path / "s.json", {"schema": SYSTEM_SCHEMA, "v": 6, "k": 3,
+                                                "edges": [[1, 2, 3], [4, 5, 6], [3, 1, 2]]})
+        plane = self.write(tmp_path / "plane.json", build_projective_plane(7).to_json())
+        argv = {
+            "check": ["steiner", "check", "--file", path, "--ell", "2"],
+            "assemble": ["steiner", "assemble", "--system", path, "--plane", plane,
+                         "--out-file", str(tmp_path / "h.json")],
+            "mc": ["mc", "run", "--system", path, "--k", "3", "--n", "3",
+                   "--I", "1,2", "--trials", "2", "--out", str(tmp_path / "mc")],
+        }[command]
+        assert run(argv) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == "edge [3, 1, 2] repeats an earlier edge of the system"
+
     @pytest.fixture(scope="class")
     def glued_doc(self):
         from treeramsey import assemble_h, build_blowup, build_projective_plane

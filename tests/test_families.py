@@ -17,6 +17,7 @@ from treeramsey import (
     FLAVOR_REVG,
     FamilySpec,
     MemberBlueprint,
+    MonoCopyWitness,
     OrderedHypergraph,
     canonical_member,
     canonical_separated,
@@ -28,15 +29,19 @@ from treeramsey import (
     member_vertex_count,
     realize_blueprint,
     reverse,
+    validate_witness,
 )
 from treeramsey.families import (
     PLACE_ANCHOR,
     PLACE_X1,
     ROLE_SPECIAL,
     connector_sets,
+    member_edges,
+    placed_as_member,
     role_connector,
     role_distinguished,
 )
+from treeramsey.search import MembershipColoring
 from treeramsey.steiner import is_partial_steiner
 
 
@@ -216,6 +221,59 @@ class TestIsMember:
         spec = FamilySpec(3, 4, (1, 2), FLAVOR_F)
         member = canonical_member(spec)
         assert is_member(reverse(member), spec.with_flavor(FLAVOR_REVF))
+
+
+def single_label_tamperings(H):
+    """H, then H with one label moved to each other position of 1..v."""
+    yield H
+    for role, at in sorted(H.labels.items()):
+        for p in range(1, H.v + 1):
+            if p != at:
+                yield dataclasses.replace(H, labels={**H.labels, role: p})
+
+
+class TestMemberRule:
+    """`is_member` and `validate_witness` both read the member rule,
+    `member_edges` and `placed_as_member`."""
+
+    SHAPES = [(3, 3, (1, 2)), (3, 4, (1, 2))]
+
+    @pytest.mark.parametrize("flavor,reversed_flavor", [(FLAVOR_F, FLAVOR_REVF),
+                                                        (FLAVOR_G, FLAVOR_REVG)])
+    @pytest.mark.parametrize("k,n,I", SHAPES)
+    def test_reversed_flavor_is_the_flavor_on_the_reversed_host(
+        self, k, n, I, flavor, reversed_flavor
+    ):
+        spec = FamilySpec(k, n, I, flavor)
+        reversed_spec = spec.with_flavor(reversed_flavor)
+        hits = 0
+        for bp in enumerate_blueprints(spec):
+            M = realize_blueprint(bp)
+            for H in itertools.chain(*map(single_label_tamperings, (M, reverse(M)))):
+                answer = is_member(H, reversed_spec)
+                assert answer == is_member(reverse(H), spec), (bp, H.labels)
+                hits += answer
+        assert hits  # the reversed members themselves
+
+    @pytest.mark.parametrize("k,n,I", SHAPES + [(4, 4, (1, 2, 3))])
+    def test_witness_recheck_agrees_with_the_rule(self, k, n, I):
+        spec = FamilySpec(k, n, I, FLAVOR_F)
+        roles = [role_distinguished(i) for i in range(n + 1)]
+        outcomes = set()
+        for bp in enumerate_blueprints(spec):
+            M = realize_blueprint(bp)
+            for flavor, host in ((FLAVOR_F, M), (FLAVOR_REVF, reverse(M))):
+                slot = spec.with_flavor(flavor)
+                for H in single_label_tamperings(host):
+                    chain = [H.labels[r] for r in roles]
+                    assignment = tuple((J, H.labels[role_connector(J)]) for J in spec.connectors)
+                    w = MonoCopyWitness(flavor, 0, tuple(chain), assignment)
+                    expected = placed_as_member(
+                        slot, chain, [v for _, v in assignment]
+                    ) and set(member_edges(chain, I, assignment)) <= host.edge_set
+                    assert validate_witness(MembershipColoring(host), slot, w) == expected
+                    outcomes.add(expected)
+        assert outcomes == {True, False}
 
 
 class TestReverse:
