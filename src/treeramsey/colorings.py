@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .trees import ShapeKind, TreeParams, level_profile, profile_shape
+from .trees import ShapeKind, TreeParams, level_profile, profile_projection, profile_shape
 
 BINARY = "binary"
 Z4 = "z4"
@@ -156,8 +156,7 @@ class SteppedColoring:
             # a (k-1, 1) split is 1, (1, k-1) is 2, a balanced one 0
             color = 1 if left == k - 1 else 2 if left == 1 else 0
         else:
-            depth = self.inner.ground_size
-            c = self.inner._eval(tuple(sorted([depth + 1 - p for p in profile])))
+            c = self.inner._eval(profile_projection(profile, self.inner.ground_size))
             # k = 3 gives a left comb c; k >= 4 swaps
             color = c if (kind is ShapeKind.LEFT_COMB) == (k == 3) else 3 - c
         self._table[profile] = color

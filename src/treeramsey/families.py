@@ -146,19 +146,48 @@ def role_connector(J: Sequence[int]) -> str:
 ROLE_SPECIAL = "xI"
 
 
-def increasing_within(edges, k: int, v: int) -> bool:
-    """Whether every edge in `edges`, a sequence of k-tuples of ints, is
-    strictly increasing with its vertices in [1, v].  Checked over all
-    edges at once at C speed: the first column holds every edge's least
-    vertex, the last its largest, and an edge's vertices increase when
-    each column is below the next."""
-    flat = list(itertools.chain.from_iterable(edges))
-    columns = [flat[j::k] for j in range(k)] if flat else []
+def _increasing(edges, v: int) -> bool:
+    """Whether every edge, all of one size, rises strictly within [1, v]:
+    each column of the edges below the next, the first >= 1, the last <= v."""
+    columns = list(zip(*edges))
     return not columns or (
         min(columns[0]) >= 1
         and max(columns[-1]) <= v
-        and all(all(map(operator.lt, a, b)) for a, b in zip(columns, columns[1:]))
+        and all(map(all, map(map, itertools.repeat(operator.lt), columns, columns[1:])))
     )
+
+
+def edge_tuples(rows, k: int, v: int) -> tuple[tuple[int, ...], ...]:
+    """The rows as sorted int tuples, in row order; a tuple of sorted
+    tuples is returned as is.  This is the rule for every edge list: each
+    row is a list or tuple of k >= 1 distinct ints (by exact type, so no
+    bool) in [1, v], in any order, and no two rows hold the same set.
+    Otherwise a ValueError names, as given, the first bad row, or else
+    the first repeat.  All rows are checked at once at C speed, by their
+    columns as given and, only if that fails, sorted; the rows are walked
+    one by one only to name an error."""
+    types = set(map(type, rows))
+    edges = None
+    if (k > 0 or not rows) and (
+        types <= {tuple, list}
+        and set(map(len, rows)) <= {k}
+        and set(map(type, itertools.chain.from_iterable(rows))) <= {int}
+    ):
+        if _increasing(rows, v):
+            edges = rows if type(rows) is tuple and types <= {tuple} else tuple(map(tuple, rows))
+        elif _increasing(sorted_rows := tuple(map(tuple, map(sorted, rows))), v):
+            edges = sorted_rows
+    if edges is None:
+        bad = next(e for e in rows if not (
+            type(e) in (tuple, list) and len(e) == k > 0 and len(set(e)) == k
+            and all(type(x) is int and 1 <= x <= v for x in e)
+        ))
+        raise ValueError(f"edge {bad!r} is not {k} distinct vertices in [1, {v}]")
+    if len(set(edges)) < len(edges):
+        seen = set()
+        e = next(e for e, key in zip(rows, edges) if key in seen or seen.add(key))
+        raise ValueError(f"edge {e!r} repeats an earlier edge")
+    return edges
 
 
 @dataclass(frozen=True)
@@ -173,29 +202,11 @@ class OrderedHypergraph:
         if self.v < 1:
             raise ValueError("need at least one vertex")
         edges = self.edges
-        k = len(edges[0]) if edges else 0
-        # All edges at once at C speed, where there are enough of them to
-        # repay the check's fixed cost (a few µs; the loop checks 16 edges
-        # in about as long).  The loop runs otherwise, and when the bulk
-        # check fails, so that the error names the first bad edge.
-        if not (
-            len(edges) >= 16
-            and k
-            and int_rows(edges, tuple) == {k}
-            and increasing_within(edges, k, self.v)
-            and len(self.edge_set) == len(edges)
-        ):
-            seen = set()
-            for e in edges:
-                if not 0 < len(e) == k:
-                    raise ValueError(f"edge {e} is empty or not of the first edge's size {k}")
-                if tuple(sorted(e)) != e or len(set(e)) != len(e):
-                    raise ValueError(f"edge {e} is not a sorted duplicate-free tuple")
-                if e[0] < 1 or e[-1] > self.v:
-                    raise ValueError(f"edge {e} out of range [1, {self.v}]")
-                if e in seen:
-                    raise ValueError(f"duplicate edge {e}")
-                seen.add(e)
+        checked = edge_tuples(edges, len(edges[0]) if edges else 1, self.v)
+        if checked is not edges:
+            unsorted = next((e for e, t in zip(edges, checked) if e != t), None)
+            if unsorted is not None:
+                raise ValueError(f"edge {unsorted!r} is not sorted")
         if self.labels is not None:
             for role, pos in self.labels.items():
                 if not 1 <= pos <= self.v:
@@ -235,7 +246,9 @@ class OrderedHypergraph:
     @classmethod
     def from_json(cls, obj: dict) -> "OrderedHypergraph":
         """Read a document with an integer v, edges, a list of non-empty
-        integer lists, and optional labels, an object of integer positions."""
+        integer lists, and optional labels, an object of integer positions.
+        The edges pass `edge_tuples` with k the first edge's size, so an
+        error names the edge as the file writes it; each is stored sorted."""
         doc = check_schema(obj, HYPERGRAPH_SCHEMA, {"v": int, "edges": list}, {"labels": dict})
         edges, labels = doc["edges"], doc.get("labels")
         lengths = int_rows(edges)
@@ -243,7 +256,7 @@ class OrderedHypergraph:
             raise ValueError("hypergraph edges must be non-empty integer lists")
         if labels is not None and int_rows([list(labels.values())]) is None:
             raise ValueError("hypergraph labels must be integer positions")
-        edges = tuple(tuple(sorted(e)) for e in edges)
+        edges = edge_tuples(edges, len(edges[0]) if edges else 1, doc["v"])
         return cls(doc["v"], edges, dict(labels) if labels is not None else None)
 
 
@@ -299,25 +312,27 @@ def placed_as_member(spec: FamilySpec, chain: Sequence[int], positions: list[int
 def is_member(H: OrderedHypergraph, spec: FamilySpec) -> bool:
     """Whether the labeled ordered hypergraph realizes some member of the family.
 
-    The labels give the chain (x0 for F flavors, xI for G, then x1 .. xn)
-    and the connectors xJ; they must sit as `placed_as_member` asks, cover
-    every vertex, and give exactly the edges `member_edges` lists.  For F
-    flavors an xI label, when present, must sit on x0.
+    The labels give the chain (the anchor, labelled x0 or xI or both,
+    then x1 .. xn) and the connectors xJ; they must sit as
+    `placed_as_member` asks, cover every vertex, and give exactly the
+    edges `member_edges` lists.  An x0 and an xI label must agree.
     """
     if H.labels is None:
         raise ValueError("member check requires role labels")
     labels = H.labels
-    anchored = spec.flavor in _ANCHORED_FLAVORS
-    needed = [role_distinguished(0) if anchored else ROLE_SPECIAL]
-    needed += [role_distinguished(i) for i in range(1, spec.n + 1)]
+    anchors = {labels[role] for role in (role_distinguished(0), ROLE_SPECIAL) if role in labels}
+    if not anchors:
+        own = role_distinguished(0) if spec.flavor in _ANCHORED_FLAVORS else ROLE_SPECIAL
+        raise ValueError(f"missing label {own!r}")
+    needed = [role_distinguished(i) for i in range(1, spec.n + 1)]
     needed += [role_connector(J) for J in spec.connectors]
     for role in needed:
         if role not in labels:
             raise ValueError(f"missing label {role!r}")
-    placed = [labels[role] for role in needed]
+    if len(anchors) > 1:
+        return False  # x0 and xI both name the anchor
+    placed = [*anchors] + [labels[role] for role in needed]
     chain, positions = placed[: spec.n + 1], placed[spec.n + 1 :]
-    if anchored and labels.get(ROLE_SPECIAL, chain[0]) != chain[0]:
-        return False  # the special connector must sit on the anchor
     assignment = zip(spec.connectors, positions)
     return (
         placed_as_member(spec, chain, positions)

@@ -39,7 +39,7 @@ from .families import (
     OrderedHypergraph,
     canonical_member,
     connector_sets,
-    increasing_within,
+    edge_tuples,
     relabel,
 )
 from .reporting import check_schema, int_rows
@@ -534,32 +534,16 @@ def sample_ordering_and_search(
     return MonteCarloReport(spec, trials, seed, found, tuple(failures), tuple(trial_ms))
 
 
-def _sorted_edges(edges: list, k: int, v: int) -> Optional[list]:
-    """The edges as sorted tuples, in order, when every edge is a list of
-    k distinct ints (by exact type, so no bool) in [1, v] and no two
-    edges are equal; else None.  Checked over all edges at once at C
-    speed: the types by `int_rows`, then, once each edge is sorted, the
-    columns by `increasing_within`, and repeats as equal neighbours."""
-    lengths = int_rows(edges)
-    if lengths is None or lengths - {k}:
-        return None
-    edges = sorted(map(tuple, map(sorted, edges)))
-    if any(map(operator.eq, edges, itertools.islice(edges, 1, None))):
-        return None
-    return edges if increasing_within(edges, k, v) else None
-
-
 def read_system(path) -> BlowupSystem | SteinerSystem:
     """Load a system file: positive integers v and k, edges, a list
-    of distinct k-lists of distinct integers in [1, v], optional
-    provenance, a list (not read), and optional params, an object with
-    integers n, k, m and a list of integers I.  With params the file must hold
-    exactly that blow-up, which is returned; sizes are compared before
-    edges, so params cannot force a large blow-up to be built.
-    Otherwise it is a SteinerSystem.  The edges are checked all at once
-    at C speed; only when that check fails are they checked one by one,
-    so that the error names the first bad edge, or else the first edge
-    that repeats an earlier one, as the file writes it."""
+    that `families.edge_tuples` accepts (k distinct integers in [1, v]
+    each, in any order, no two the same set; an error names the edge as
+    the file writes it), optional provenance, a list (not read), and
+    optional params, an object with integers n, k, m and a list of
+    integers I.  With params the file must hold exactly that blow-up,
+    which is returned; sizes are compared before edges, so params cannot
+    force a large blow-up to be built.  Otherwise it is a SteinerSystem
+    of the edges, each sorted, in sorted order."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = check_schema(
             json.load(fh), SYSTEM_SCHEMA, {"v": int, "k": int, "edges": list},
@@ -568,19 +552,7 @@ def read_system(path) -> BlowupSystem | SteinerSystem:
     v, k = doc["v"], doc["k"]
     if v < 1 or k < 1:
         raise ValueError(f"system v and k must be positive integers, got v = {v}, k = {k}")
-    edges = _sorted_edges(doc["edges"], k, v)
-    if edges is None:
-        bad = next((
-            e for e in doc["edges"]
-            if int_rows([e]) != {k} or not all(1 <= x <= v for x in e) or len(set(e)) != k
-        ), None)
-        if bad is not None:
-            raise ValueError(f"edge {bad!r} is not {k} distinct vertices in [1, {v}]")
-        seen = set()
-        for e in doc["edges"]:
-            if tuple(sorted(e)) in seen:
-                raise ValueError(f"edge {e!r} repeats an earlier edge of the system")
-            seen.add(tuple(sorted(e)))
+    edges = sorted(edge_tuples(doc["edges"], k, v))
     params = doc.get("params")
     if params is None:
         return SteinerSystem(v, k, tuple(edges), {})

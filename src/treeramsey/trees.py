@@ -9,8 +9,9 @@ of its ancestor, and the shape (comb or split) of a set of leaves.
 Leaf x is identified with the N-bit integer x-1, so the ancestor level
 of x and y is N minus the position of the highest bit where they
 differ.  Tests validate this against an explicit parent-array tree.
-The level word (`level_profile`) and the shape rule read off it
-(`profile_shape`) live here alone; `colorings` reads both.
+The level word (`level_profile`) and the shape and projection read off
+it (`profile_shape`, `profile_projection`) live here alone; `colorings`
+reads all three.
 """
 
 from __future__ import annotations
@@ -158,4 +159,10 @@ def projection(X: LeafSet) -> tuple[int, ...]:
     """
     if len(X) < 2:
         raise ValueError("projection undefined below 2 leaves")
-    return tuple(sorted(set(consecutive_levels(X))))
+    return profile_projection(level_profile(X.elements), X.params.depth)
+
+
+def profile_projection(profile: Sequence[int], depth: int) -> tuple[int, ...]:
+    """Projection of a leaf set with this level profile in the tree of
+    this depth: its distinct ancestor levels depth + 1 - p, ascending."""
+    return tuple(sorted({depth + 1 - p for p in profile}))

@@ -425,6 +425,29 @@ class TestCommands:
              "--I", "1,2", "--flavor", "revG"]
         ) == 1
 
+    # every G member is an F member, its anchor labelled xI alone
+    @pytest.mark.parametrize("made,checked", [("G", "F"), ("revG", "revF")])
+    def test_g_member_checked_under_f(self, tmp_path, capsys, made, checked):
+        member = tmp_path / "member.json"
+        shape = ["--k", "3", "--n", "4", "--I", "1,2"]
+        assert run(["family", "gen", *shape, "--flavor", made, "--out-file", str(member)]) == 0
+        capsys.readouterr()
+        assert run(["family", "check", "--file", str(member), *shape, "--flavor", checked]) == 0
+        assert json.loads(capsys.readouterr().out)["report"]["member"] is True
+
+    @pytest.mark.parametrize("flavor", ["F", "G"])
+    def test_x0_and_xi_on_different_vertices(self, tmp_path, capsys, flavor):
+        from treeramsey import FamilySpec, canonical_member
+
+        obj = canonical_member(FamilySpec(3, 4, (1, 2), "F")).to_json()
+        assert obj["labels"]["x0"] == obj["labels"]["xI"] == 1
+        obj["labels"]["xI"] = 2
+        path = tmp_path / "member.json"
+        path.write_text(json.dumps(obj))
+        assert run(["family", "check", "--file", str(path), "--k", "3", "--n", "4",
+                    "--I", "1,2", "--flavor", flavor]) == 1
+        assert json.loads(capsys.readouterr().out)["report"]["member"] is False
+
     def test_steiner_pipeline(self, tmp_path, capsys):
         system = tmp_path / "r.json"
         plane = tmp_path / "plane.json"
@@ -806,7 +829,7 @@ class TestMalformedSteinerFiles:
         }[command]
         assert run(argv) == 2
         error = json.loads(capsys.readouterr().err)["error"]
-        assert error == "edge [3, 1, 2] repeats an earlier edge of the system"
+        assert error == "edge [3, 1, 2] repeats an earlier edge"
 
     @pytest.fixture(scope="class")
     def glued_doc(self):
@@ -883,7 +906,28 @@ class TestMalformedHypergraphFile:
         obj["edges"].insert(0, [1, 2])
         assert self.family_check(tmp_path, obj) == 2
         error = json.loads(capsys.readouterr().err)["error"]
-        assert error == "edge (1, 5, 6) is empty or not of the first edge's size 2"
+        assert error == "edge [1, 5, 6] is not 2 distinct vertices in [1, 8]"
+
+    # the member's edges are [1, 5, 6], [2, 6, 7], [3, 6, 8], [4, 7, 8]
+    @pytest.mark.parametrize("at,row,message", [
+        (1, [3, 1, 1], "edge [3, 1, 1] is not 3 distinct vertices in [1, 8]"),
+        (4, [2, 3, 9], "edge [2, 3, 9] is not 3 distinct vertices in [1, 8]"),
+        (3, [7, 6, 2], "edge [7, 6, 2] repeats an earlier edge"),
+    ], ids=["repeated-vertex", "out-of-range", "repeat"])
+    def test_bad_edge_is_named_as_the_file_writes_it(self, tmp_path, capsys, at, row, message):
+        from treeramsey import FamilySpec, canonical_member
+
+        obj = canonical_member(FamilySpec(3, 4, (1, 2), "G")).to_json()
+        obj["edges"].insert(at, row)
+        assert self.family_check(tmp_path, obj) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == message
+
+    def test_edges_in_any_order_are_read(self, tmp_path, capsys):
+        from treeramsey import FamilySpec, canonical_member
+
+        obj = canonical_member(FamilySpec(3, 4, (1, 2), "G")).to_json()
+        obj["edges"] = [e[::-1] for e in obj["edges"]]
+        assert self.family_check(tmp_path, obj) == 0
 
 
 _JSON_VALUES = {

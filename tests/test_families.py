@@ -36,6 +36,7 @@ from treeramsey.families import (
     PLACE_X1,
     ROLE_SPECIAL,
     connector_sets,
+    edge_tuples,
     member_edges,
     placed_as_member,
     role_connector,
@@ -428,10 +429,19 @@ class TestHypergraphIO:
             OrderedHypergraph.from_json(obj)
 
     def test_edge_validation(self):
-        with pytest.raises(ValueError, match="duplicate edge"):
+        with pytest.raises(ValueError, match=re.escape("edge (1, 2, 3) repeats an earlier edge")):
             OrderedHypergraph(4, ((1, 2, 3), (1, 2, 3)))
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match=re.escape("edge (1, 2, 4) is not 3 distinct vertices in [1, 3]")):
             OrderedHypergraph(3, ((1, 2, 4),))
+        with pytest.raises(ValueError, match=re.escape("edge (3, 2, 4) is not sorted")):
+            OrderedHypergraph(4, ((3, 2, 4),))
+
+    @pytest.mark.parametrize("vertex", [True, 1.0], ids=["true", "float"])
+    def test_vertices_are_ints_by_exact_type(self, vertex):
+        # such an edge compares equal to (1, 2, 3), but would be written as
+        # [true, 2, 3] or [1.0, 2, 3], which the reader refuses
+        with pytest.raises(ValueError, match="is not 3 distinct vertices"):
+            OrderedHypergraph(3, ((vertex, 2, 3),))
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -471,10 +481,14 @@ class TestHypergraphIO:
     @pytest.mark.parametrize("size", [2, 20])
     @pytest.mark.parametrize("at", [0, 1, -1])
     def test_edges_of_mixed_size_are_refused(self, bad, size, at):
-        # both check paths: below 16 edges the loop alone runs
+        # the first edge fixes k; the first edge of another size, or the
+        # empty first edge, is named
         edges = [(i, i + 1, i + 2) for i in range(1, size + 1)]
         edges.insert(at % (size + 1), bad)
-        with pytest.raises(ValueError, match="is empty or not of the first edge's size"):
+        k = len(edges[0])
+        named = next(e for e in edges if not 0 < len(e) == k)
+        message = f"edge {named} is not {k} distinct vertices in [1, {size + 2}]"
+        with pytest.raises(ValueError, match=re.escape(message)):
             OrderedHypergraph(size + 2, tuple(edges))
 
     def test_mixed_host_is_refused_not_misread(self):
@@ -482,29 +496,89 @@ class TestHypergraphIO:
         # contain no F member, though it holds the canonical one
         member = canonical_member(FamilySpec(3, 3, (1, 2), FLAVOR_F))
         assert (1, 2) not in member.edges
-        message = f"edge {member.edges[0]} is empty or not of the first edge's size 2"
+        message = f"edge {member.edges[0]} is not 2 distinct vertices in [1, {member.v}]"
         with pytest.raises(ValueError, match=re.escape(message)):
             OrderedHypergraph(member.v, ((1, 2),) + member.edges)
 
 
-def _edge_by_edge(v, edges):
-    """OrderedHypergraph's edge check before the bulk check, one edge at
-    a time.  The bulk check, taken from 16 edges on, may let through
-    only what this accepts; on any other input the loop runs, and its
-    error names the first bad edge.  Every edge has the first edge's
-    size, at least 1."""
+class TestEdgeTuples:
+    """`edge_tuples`, the one edge-list rule, against a row-by-row oracle."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_matches_row_by_row(self, data):
+        v = data.draw(st.integers(1, 12))
+        k = data.draw(st.integers(1, min(v, 4)))
+        size = min(data.draw(st.sampled_from([0, 2, 15, 16, 24])), math.comb(v, k))
+        sets = data.draw(st.lists(
+            st.frozensets(st.integers(1, v), min_size=k, max_size=k),
+            min_size=size, max_size=size, unique=True,
+        ))
+        kind = data.draw(st.sampled_from([list, tuple]))
+        rows = [kind(data.draw(st.permutations(sorted(e)))) for e in sets]
+        # a bad row: mostly a good row with one vertex replaced, which may
+        # repeat another, else a row of any size, a repeat or no list at all
+        vertex = st.integers(1, v) | st.sampled_from([0, v + 1, True, False, 1.0, "1"])
+        near = st.tuples(
+            st.lists(st.integers(1, v), min_size=k, max_size=k, unique=True),
+            st.integers(0, k - 1), vertex,
+        ).map(lambda t: t[0][:t[1]] + [t[2]] + t[0][t[1] + 1:])
+        bad_rows = {
+            "near": near,
+            "any": st.lists(vertex, max_size=5),
+            "repeat": st.sampled_from(tuple(rows) or (None,)).map(lambda e: e and e[::-1]),
+            "no list": st.integers(0, 3) | st.text(max_size=3) | st.dictionaries(st.text(), st.just(1)),
+        }
+        for _ in range(data.draw(st.integers(0, 2))):
+            form = data.draw(st.sampled_from(["near", "near", "near", "any", "repeat", "no list"]))
+            bad = data.draw(bad_rows[form])
+            if type(bad) is list:
+                bad = data.draw(st.sampled_from([list, tuple]))(bad)
+            if bad is not None:
+                rows.insert(data.draw(st.integers(0, len(rows))), bad)
+        rows = data.draw(st.sampled_from([list, tuple]))(rows)
+        assert _result(edge_tuples, rows, k, v) == _result(_rows_one_by_one, rows, k, v)
+
+    def test_sorted_tuples_are_returned_as_is(self):
+        rows = tuple((i, i + 1, i + 2) for i in range(1, 25))
+        assert edge_tuples(rows, 3, 26) is rows
+        assert edge_tuples(list(rows), 3, 26) == rows
+        assert edge_tuples([[3, 1, 2], (6, 5, 4)], 3, 6) == ((1, 2, 3), (4, 5, 6))
+
+    def test_uniformity_below_one_refuses_every_row(self):
+        assert edge_tuples([], 0, 3) == ()
+        with pytest.raises(ValueError, match=re.escape("edge [] is not 0 distinct vertices in [1, 3]")):
+            edge_tuples([[]], 0, 3)
+
+
+def _rows_one_by_one(rows, k, v):
+    """The edge-list rule, one row at a time: the rows as sorted tuples
+    when each is a list or tuple of k >= 1 distinct ints by exact type in
+    [1, v] and no two hold the same set; else the error names the first
+    bad row, or failing that the first repeat."""
+    def good(e):
+        return (type(e) in (list, tuple) and k >= 1 and len(e) == k and len(set(e)) == k
+                and all(type(x) is int and 1 <= x <= v for x in e))
+
+    for e in rows:
+        if not good(e):
+            raise ValueError(f"edge {e!r} is not {k} distinct vertices in [1, {v}]")
     seen = set()
-    k = len(edges[0]) if edges else 0
+    for e in rows:
+        if frozenset(e) in seen:
+            raise ValueError(f"edge {e!r} repeats an earlier edge")
+        seen.add(frozenset(e))
+    return tuple(tuple(sorted(e)) for e in rows)
+
+
+def _edge_by_edge(v, edges):
+    """OrderedHypergraph's edge check one edge at a time: k is the first
+    edge's size, the edges must pass the edge-list rule and, since the
+    edges are stored as given, each must be a sorted tuple."""
+    _rows_one_by_one(edges, len(edges[0]) if edges else 1, v)
     for e in edges:
-        if not 0 < len(e) == k:
-            raise ValueError(f"edge {e} is empty or not of the first edge's size {k}")
-        if tuple(sorted(e)) != e or len(set(e)) != len(e):
-            raise ValueError(f"edge {e} is not a sorted duplicate-free tuple")
-        if e[0] < 1 or e[-1] > v:
-            raise ValueError(f"edge {e} out of range [1, {v}]")
-        if e in seen:
-            raise ValueError(f"duplicate edge {e}")
-        seen.add(e)
+        if type(e) is not tuple or list(e) != sorted(e):
+            raise ValueError(f"edge {e!r} is not sorted")
 
 
 def _outcome(check, *args):
@@ -513,3 +587,10 @@ def _outcome(check, *args):
     except Exception as exc:
         return type(exc), str(exc)
     return None
+
+
+def _result(check, *args):
+    try:
+        return check(*args)
+    except Exception as exc:
+        return type(exc), str(exc)

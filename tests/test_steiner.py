@@ -22,7 +22,7 @@ from treeramsey import (
     sample_ordering_and_search,
     validate_projective_plane,
 )
-from treeramsey.families import FLAVOR_G
+from treeramsey.families import FLAVOR_G, edge_tuples
 from treeramsey import steiner
 from treeramsey.steiner import (
     SYSTEM_SCHEMA,
@@ -525,12 +525,15 @@ class TestReadSystem:
             edges.insert(data.draw(st.integers(0, len(edges))), bad)
 
         def good(e):
-            return (type(e) is list and len(e) == k and len(set(e)) == k
+            return (type(e) is list and k >= 1 and len(e) == k and len(set(e)) == k
                     and all(type(x) is int and 1 <= x <= v for x in e))
 
-        rows = sorted(tuple(sorted(e)) for e in edges) if all(map(good, edges)) else None
+        rows = tuple(tuple(sorted(e)) for e in edges) if all(map(good, edges)) else None
         expected = rows if rows is not None and len(set(rows)) == len(rows) else None
-        assert steiner._sorted_edges(edges, k, v) == expected
+        try:
+            assert edge_tuples(edges, k, v) == expected
+        except ValueError:
+            assert expected is None
 
 
 class TestOrderingExperiment:
