@@ -50,7 +50,7 @@ from __future__ import annotations
 import operator
 import time
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial, reduce
 from typing import Optional, Sequence
 
@@ -533,7 +533,10 @@ def find_mono_f_copy(
     by `ReflectedColoring` for revF, or for a `MembershipColoring` run
     on the reversed host, so that its incidence lists still serve.  The
     two engines give the same status and witness, and their counters
-    count different things (see `SearchCounters`).
+    count different things (see `SearchCounters`).  This function
+    searches every revF question itself, for any evaluator; only the
+    four-slot runner `verify_stepup_avoidance` repeats a mirrored F
+    slot in place of a revF search.
     """
     if spec.k != chi.uniformity:
         raise ValueError(
@@ -664,17 +667,52 @@ def verify_stepup_avoidance(
 ) -> AvoidanceReport:
     """The four acceptance slots: F in colors 0,1 and revF in colors 2,3.
 
-    Each slot is one search; revF slots run on the reflected coloring
-    (see `find_mono_f_copy`).  Every witness is re-checked with
+    Each slot is one search (`find_mono_f_copy`), except that for a
+    `SteppedColoring` the revF slot of a mirrored pair repeats its F
+    twin: revF/2 that of F/1, and at k = 3 revF/3 that of F/0.  It takes
+    the twin's status and counters, and its witness reflected back
+    (`_reflect_witness`) in the slot's color.  Why that is the search's
+    own answer: a revF slot in color c runs `_search_levels` on the
+    predicate color(p[::-1]) == c of a level profile p, and the F slot
+    in color c' on color(p) == c'.  By `trees.profile_shape`, reversing
+    a profile swaps the left and right combs and maps a split's left
+    count l to k - l (its largest entry is attained once), and
+    `trees.profile_projection` keeps the set of levels.  So by
+    `_color_of_profile` a comb colored c reverses to one colored 3 - c,
+    a (k-1, 1) split (1) to a (1, k-1) split (2) and back, and a
+    balanced split stays 0.  Hence color(p[::-1]) == 2 exactly when
+    color(p) == 1; at k = 3 every profile is a comb, so also
+    color(p[::-1]) == 3 exactly when color(p) == 0.  At k >= 4 a
+    balanced split is 0 both ways, so revF/3 is searched itself.  The
+    engine reads its predicate only through `edge_color(...) == color`,
+    so equal predicates make the same run, letter for letter (the same
+    profiles asked in the same order, hence the same counters and the
+    same stop under a node budget), and the same least witness in F
+    coordinates, which `find_mono_f_copy` would reflect just so.  Under
+    a time budget the repeated slot takes its twin's outcome and spends
+    no time of its own.
+
+    Every witness, a repeated one too, is re-checked with
     `validate_witness` before it is reported, and a witness that fails
     the check raises, since it means the engine is wrong.
     """
     start = time.monotonic()
+    mirror = {}  # revF color -> the F color whose search it repeats
+    if isinstance(chi, SteppedColoring):
+        mirror = {2: 1, 3: 0} if chi.uniformity == 3 else {2: 1}
+    searched = {}
     slots = []
     for flavor, colors in ((FLAVOR_F, (0, 1)), (FLAVOR_REVF, (2, 3))):
         slot_spec = spec.with_flavor(flavor)
         for color in colors:
-            outcome = find_mono_f_copy(chi, slot_spec, {color}, budget)
+            if flavor == FLAVOR_REVF and color in mirror:
+                twin = searched[mirror[color]]
+                witness = twin.witness and replace(
+                    _reflect_witness(twin.witness, chi.ground_size), color=color
+                )
+                outcome = SearchOutcome(twin.status, witness, replace(twin.counters))
+            else:
+                outcome = searched[color] = find_mono_f_copy(chi, slot_spec, {color}, budget)
             if outcome.witness is not None and not validate_witness(
                 chi, slot_spec, outcome.witness
             ):

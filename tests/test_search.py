@@ -405,14 +405,32 @@ class TestLevelSpaceMatchesLeafEngine:
 
 class TestAvoidanceReport:
     def test_slot_counters_are_their_own_search(self):
-        chi = build_tower(BaseColoring(2, 3, BINARY, (0, 1, 0)), 4).top
-        spec = FamilySpec(4, 4, (1, 2, 3), FLAVOR_F)
-        report = verify_stepup_avoidance(chi, spec)
-        for slot in report.slots:
-            own = find_mono_f_copy(chi, spec.with_flavor(slot.flavor), {slot.color})
-            assert slot.counters == own.counters
-        # level space: letters tried over all oracle calls of each slot
-        assert report.to_json()["counters"]["nodes"] == 433
+        # Each slot reads as its own search, status and witness too,
+        # though revF/2 repeats F/1 and at k = 3 revF/3 repeats F/0.  At
+        # k = 4 the `0 1 0` base has F/0 at 11 letters and revF/3 at 8,
+        # so repeating revF/3 there fails here.
+        grid = itertools.chain(level_grid(), [
+            (build_tower(c4_coloring(), 4).top, FamilySpec(4, 6, (1, 2, 3), FLAVOR_F)),
+        ])
+        pinned = (
+            build_tower(BaseColoring(2, 3, BINARY, (0, 1, 0)), 4).top,
+            FamilySpec(4, 4, (1, 2, 3), FLAVOR_F),
+        )
+        repeated = witnesses = 0
+        for chi, spec in grid:
+            report = verify_stepup_avoidance(chi, spec)
+            for slot in report.slots:
+                own = find_mono_f_copy(chi, spec.with_flavor(slot.flavor), {slot.color})
+                assert (slot.status, slot.witness, slot.counters) == (
+                    own.status, own.witness, own.counters
+                )
+                if slot.flavor == FLAVOR_REVF and (slot.color == 2 or spec.k == 3):
+                    repeated += 1
+                    witnesses += slot.witness is not None
+            if (chi, spec) == pinned:
+                # level space: letters tried over all oracle calls of each slot
+                assert report.to_json()["counters"]["nodes"] == 433
+        assert repeated > 60 and witnesses
 
     def test_witness_failing_recheck_raises(self, monkeypatch):
         chi = build_tower(all_zero_coloring(4), 3).top
@@ -455,6 +473,50 @@ class TestAvoidanceReport:
         assert "elapsed_ms" not in doc
         assert doc["status"] == CLEAN
         assert len(doc["slots"]) == 4
+
+    @pytest.mark.parametrize("k, stepped, searched", [
+        (3, True, SLOTS[:2]), (4, True, SLOTS[:2] + SLOTS[3:]), (5, True, SLOTS[:2] + SLOTS[3:]),
+        (3, False, SLOTS), (4, False, SLOTS),
+    ], ids=["k3", "k4", "k5", "k3-leaf", "k4-leaf"])
+    def test_searches_per_report(self, k, stepped, searched, monkeypatch):
+        calls = []
+        real = search_module.find_mono_f_copy
+
+        def spy(chi, spec, colors, budget=None):
+            calls.append((spec.flavor, *colors))
+            return real(chi, spec, colors, budget)
+
+        monkeypatch.setattr(search_module, "find_mono_f_copy", spy)
+        chi = build_tower(BaseColoring(2, 3, BINARY, (0, 1, 0)), k).top
+        spec = FamilySpec(k, k, tuple(range(1, k)), FLAVOR_F)
+        budget = SearchBudget(max_nodes=2_000)
+        report = verify_stepup_avoidance(chi if stepped else LeafProxy(chi), spec, budget)
+        assert calls == list(searched)
+        assert [(s.flavor, s.color) for s in report.slots] == list(SLOTS)
+
+    def test_node_budget_report_is_each_slot_searched_alone(self, tmp_path):
+        # 100 letters stop F/1 (and so revF/2) of the `0 1 0` k = 4 tower
+        # early; the report is the one four budgeted searches write.
+        from treeramsey import write_coloring
+        from treeramsey.cli import main
+
+        base = BaseColoring(2, 3, BINARY, (0, 1, 0))
+        write_coloring(base, tmp_path / "b.coloring")
+        assert main(["stepup", "verify", "--base", str(tmp_path / "b.coloring"), "--k", "4",
+                     "--n", "4", "--I", "1,2,3", "--max-nodes", "100",
+                     "--out", str(tmp_path / "run")]) == 1
+        doc = json.loads((tmp_path / "run" / "report.json").read_text())
+        chi = build_tower(base, 4).top
+        spec = FamilySpec(4, 4, (1, 2, 3), FLAVOR_F)
+        budget = SearchBudget(max_nodes=100)
+        for got, (flavor, color) in zip(doc["slots"], SLOTS):
+            own = find_mono_f_copy(chi, spec.with_flavor(flavor), {color}, budget)
+            assert got == search_module.SlotResult(
+                flavor, color, own.status, own.witness, own.counters
+            ).to_json()
+        assert [s["status"] for s in doc["slots"]] == [
+            WITNESS, INDETERMINATE, INDETERMINATE, WITNESS
+        ]
 
     def test_search_time_goes_to_the_manifest(self, c4_base, tmp_path, capsys):
         from treeramsey import write_coloring
