@@ -162,6 +162,15 @@ class SteppedColoring:
         self._table[profile] = color
         return color
 
+    @property
+    def mirror_colors(self) -> dict[int, int]:
+        """revF color c -> F color c' such that, by the rules of
+        `_color_of_profile`, color(p[::-1]) == c exactly when
+        color(p) == c' for every level profile p (the proof is in
+        `search.verify_stepup_avoidance`).  At k >= 4 a balanced split is
+        0 both ways, so 3 has no twin there."""
+        return {2: 1, 3: 0} if self.uniformity == 3 else {2: 1}
+
 
 def reflect_set(X: Sequence[int], params: TreeParams) -> tuple[int, ...]:
     return tuple(sorted(params.num_leaves + 1 - x for x in X))

@@ -23,7 +23,7 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import InitVar, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Sequence
 
 from .reporting import check_schema, int_rows, write_records
@@ -197,20 +197,17 @@ class OrderedHypergraph:
     v: int
     edges: tuple[tuple[int, ...], ...]
     labels: Optional[dict[str, int]] = None
-    # True only from `from_json`, whose edges `edge_tuples` has just returned
-    _edges_checked: InitVar[bool] = False
 
-    def __post_init__(self, edges_checked):
+    def __post_init__(self):
         if self.v < 1:
             raise ValueError("need at least one vertex")
         edges = self.edges
-        if not edges_checked:
-            checked = edge_tuples(edges, len(edges[0]) if edges else 1, self.v)
-            if checked is not edges:
-                unsorted = next((e for e, t in zip(edges, checked) if e != t), None)
-                if unsorted is not None:
-                    raise ValueError(f"edge {unsorted!r} is not sorted")
-                object.__setattr__(self, "edges", checked)  # a tuple, as the field says
+        checked = edge_tuples(edges, len(edges[0]) if edges else 1, self.v)
+        if checked is not edges:
+            unsorted = next((e for e, t in zip(edges, checked) if e != t), None)
+            if unsorted is not None:
+                raise ValueError(f"edge {unsorted!r} is not sorted")
+            object.__setattr__(self, "edges", checked)  # a tuple, as the field says
         if self.labels is not None:
             for role, pos in self.labels.items():
                 if not 1 <= pos <= self.v:
@@ -252,8 +249,7 @@ class OrderedHypergraph:
         """Read a document with an integer v, edges, a list of non-empty
         integer lists, and optional labels, an object of integer positions.
         The edges pass `edge_tuples` with k the first edge's size, so an
-        error names the edge as the file writes it; each is stored sorted,
-        and the constructor does not check them again."""
+        error names the edge as the file writes it; each is stored sorted."""
         doc = check_schema(obj, HYPERGRAPH_SCHEMA, {"v": int, "edges": list}, {"labels": dict})
         edges, labels = doc["edges"], doc.get("labels")
         lengths = int_rows(edges)
@@ -262,7 +258,7 @@ class OrderedHypergraph:
         if labels is not None and int_rows([list(labels.values())]) is None:
             raise ValueError("hypergraph labels must be integer positions")
         edges = edge_tuples(edges, len(edges[0]) if edges else 1, doc["v"])
-        return cls(doc["v"], edges, dict(labels) if labels is not None else None, True)
+        return cls(doc["v"], edges, dict(labels) if labels is not None else None)
 
 
 def relabel(v: int, edges, image: Sequence[int], labels) -> OrderedHypergraph:

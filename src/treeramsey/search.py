@@ -669,9 +669,10 @@ def verify_stepup_avoidance(
 
     Each slot is one search (`find_mono_f_copy`), except that for a
     `SteppedColoring` the revF slot of a mirrored pair repeats its F
-    twin: revF/2 that of F/1, and at k = 3 revF/3 that of F/0.  It takes
-    the twin's status and counters, and its witness reflected back
-    (`_reflect_witness`) in the slot's color.  Why that is the search's
+    twin (`SteppedColoring.mirror_colors`): revF/2 that of F/1, and at
+    k = 3 revF/3 that of F/0.  It takes the twin's status and counters,
+    and its witness reflected back (`_reflect_witness`) in the slot's
+    color.  Why that is the search's
     own answer: a revF slot in color c runs `_search_levels` on the
     predicate color(p[::-1]) == c of a level profile p, and the F slot
     in color c' on color(p) == c'.  By `trees.profile_shape`, reversing
@@ -697,9 +698,7 @@ def verify_stepup_avoidance(
     the check raises, since it means the engine is wrong.
     """
     start = time.monotonic()
-    mirror = {}  # revF color -> the F color whose search it repeats
-    if isinstance(chi, SteppedColoring):
-        mirror = {2: 1, 3: 0} if chi.uniformity == 3 else {2: 1}
+    mirror = chi.mirror_colors if isinstance(chi, SteppedColoring) else {}
     searched = {}
     slots = []
     for flavor, colors in ((FLAVOR_F, (0, 1)), (FLAVOR_REVF, (2, 3))):

@@ -289,13 +289,16 @@ class TestProfileMirror:
     """Reversing a realizable profile maps its color c to 3 - c, except
     on a balanced split, 0 both ways: reflection swaps left and right
     combs with the same projection, and (k-1, 1) with (1, k-1) splits.
-    A split is balanced exactly when its largest entry is not at an end."""
+    A split is balanced exactly when its largest entry is not at an end.
+    Each pair of `mirror_colors` is such a match of colors."""
 
     @staticmethod
     def _check(chi, profiles):
         balanced = 0
         for p in profiles:
             c, c_rev = chi._color_of_profile(p), chi._color_of_profile(p[::-1])
+            for c_revf, c_f in chi.mirror_colors.items():
+                assert (c_rev == c_revf) == (c == c_f), p
             if 0 < p.index(max(p)) < len(p) - 1:
                 assert c == c_rev == 0, p
                 balanced += 1

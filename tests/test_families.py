@@ -42,7 +42,6 @@ from treeramsey.families import (
     role_connector,
     role_distinguished,
 )
-import treeramsey.families as families_module
 from treeramsey.search import MembershipColoring
 from treeramsey.steiner import is_partial_steiner
 
@@ -447,22 +446,6 @@ class TestHypergraphIO:
             assert type(H.edges) is tuple
         with pytest.raises(ValueError, match=re.escape("edge (3, 2, 4) is not sorted")):
             OrderedHypergraph(4, [(3, 2, 4)])
-
-    def test_a_file_read_checks_its_edges_once(self, monkeypatch):
-        doc = canonical_member(FamilySpec(4, 6, (1, 2, 4), FLAVOR_F)).to_json()
-        rows = []
-        real = families_module.edge_tuples
-
-        def counted(edges, k, v):
-            rows.append(len(edges))
-            return real(edges, k, v)
-
-        monkeypatch.setattr(families_module, "edge_tuples", counted)
-        H = OrderedHypergraph.from_json(json.loads(json.dumps(doc)))
-        assert rows == [len(doc["edges"])]
-        assert H.to_json() == doc
-        OrderedHypergraph(H.v, H.edges, H.labels)  # built in memory, it is checked
-        assert rows == [len(doc["edges"])] * 2
 
     @pytest.mark.parametrize("vertex", [True, 1.0], ids=["true", "float"])
     def test_vertices_are_ints_by_exact_type(self, vertex):
