@@ -302,25 +302,24 @@ def _cmd_mc_run(args) -> int:
     report_obj = steiner.sample_ordering_and_search(
         system, spec, args.trials, args.seed, args.workers
     )
-    report = report_obj.to_json()
-    trial_ms = sorted(report_obj.trial_ms)
-    _emit(
-        args,
-        report,
-        metrics={
-            "trial_ms": {
-                "p50": _nearest_rank(trial_ms, 0.50),
-                "p95": _nearest_rank(trial_ms, 0.95),
-                "max": trial_ms[-1],
-            }
-        },
-    )
+    setup_ms, search_ms = zip(*report_obj.trial_ms)
+    parts = {
+        "trial_ms": map(sum, report_obj.trial_ms),
+        "trial_setup_ms": setup_ms,
+        "trial_search_ms": search_ms,
+    }
+    _emit(args, report_obj.to_json(),
+          metrics={name: _quantiles(sorted(ms)) for name, ms in parts.items()})
     return EXIT_OK if not report_obj.failures else EXIT_FOUND
 
 
-def _nearest_rank(ordered: list[float], q: float) -> float:
-    """The q-quantile of a sorted, non-empty list by nearest rank."""
-    return ordered[math.ceil(q * len(ordered)) - 1]
+def _quantiles(ordered: list[float]) -> dict:
+    """p50, p95 (by nearest rank) and max of a sorted, non-empty list."""
+    return {
+        "p50": ordered[math.ceil(0.50 * len(ordered)) - 1],
+        "p95": ordered[math.ceil(0.95 * len(ordered)) - 1],
+        "max": ordered[-1],
+    }
 
 
 def _cmd_bound_tower(args) -> int:

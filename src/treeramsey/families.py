@@ -192,7 +192,10 @@ def edge_tuples(rows, k: int, v: int) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class OrderedHypergraph:
-    """k-uniform edges over vertices 1..v; the order is the position order."""
+    """k-uniform edges over vertices 1..v; the order is the position order.
+
+    The edges may be given as any rows `edge_tuples` accepts, each in any
+    order; they are stored as the sorted tuples it returns."""
 
     v: int
     edges: tuple[tuple[int, ...], ...]
@@ -204,10 +207,7 @@ class OrderedHypergraph:
         edges = self.edges
         checked = edge_tuples(edges, len(edges[0]) if edges else 1, self.v)
         if checked is not edges:
-            unsorted = next((e for e, t in zip(edges, checked) if e != t), None)
-            if unsorted is not None:
-                raise ValueError(f"edge {unsorted!r} is not sorted")
-            object.__setattr__(self, "edges", checked)  # a tuple, as the field says
+            object.__setattr__(self, "edges", checked)  # sorted tuples, as the field says
         if self.labels is not None:
             for role, pos in self.labels.items():
                 if not 1 <= pos <= self.v:
@@ -248,8 +248,8 @@ class OrderedHypergraph:
     def from_json(cls, obj: dict) -> "OrderedHypergraph":
         """Read a document with an integer v, edges, a list of non-empty
         integer lists, and optional labels, an object of integer positions.
-        The edges pass `edge_tuples` with k the first edge's size, so an
-        error names the edge as the file writes it; each is stored sorted."""
+        The constructor checks the edges as the file writes them, so an
+        error names the edge as written; each is stored sorted."""
         doc = check_schema(obj, HYPERGRAPH_SCHEMA, {"v": int, "edges": list}, {"labels": dict})
         edges, labels = doc["edges"], doc.get("labels")
         lengths = int_rows(edges)
@@ -257,7 +257,6 @@ class OrderedHypergraph:
             raise ValueError("hypergraph edges must be non-empty integer lists")
         if labels is not None and int_rows([list(labels.values())]) is None:
             raise ValueError("hypergraph labels must be integer positions")
-        edges = edge_tuples(edges, len(edges[0]) if edges else 1, doc["v"])
         return cls(doc["v"], edges, dict(labels) if labels is not None else None)
 
 
@@ -382,14 +381,23 @@ class MemberBlueprint:
 def realize_blueprint(bp: MemberBlueprint) -> OrderedHypergraph:
     """Build the ordered hypergraph a blueprint describes, labels included.
 
-    The anchor carries the xI role, and for F flavors also x0.
+    The anchor carries the xI role, and for F flavors also x0.  A
+    reversed flavor (revF, revG) places each vertex at v + 1 - p for its
+    forward position p, so the member is built once, equal to `reverse`
+    of the forward member.
     """
     spec = bp.spec
     interior = sum(1 for p in bp.placements if isinstance(p, int))
-    anchor = 1
-    x1 = anchor + interior + 1
     v = spec.n + interior + 1
-    chain = (anchor, *range(x1, v + 1))
+
+    def at(p: int) -> int:
+        """The vertex at forward position p: the anchor is 1, the interior
+        slots follow, then x_1 .. x_n."""
+        return v + 1 - p if spec.reversed_order else p
+
+    anchor = at(1)
+    x1 = at(interior + 2)
+    chain = (anchor, *map(at, range(interior + 2, v + 1)))
 
     labels = {ROLE_SPECIAL: anchor}
     if spec.flavor in _ANCHORED_FLAVORS:
@@ -403,15 +411,11 @@ def realize_blueprint(bp: MemberBlueprint) -> OrderedHypergraph:
         elif place == PLACE_X1:
             pos = x1
         else:
-            pos = anchor + 1 + place
+            pos = at(2 + place)
         for J in cls:
             labels[role_connector(J)] = pos
             assignment.append((J, pos))
-    edges = tuple(sorted(member_edges(chain, spec.I, assignment)))
-    member = OrderedHypergraph(v, edges, labels)
-    if spec.reversed_order:
-        member = reverse(member)
-    return member
+    return OrderedHypergraph(v, tuple(sorted(member_edges(chain, spec.I, assignment))), labels)
 
 
 def _set_partitions(items: list) -> Iterator[list[list]]:

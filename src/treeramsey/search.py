@@ -37,8 +37,10 @@ the leaf order reversed, so revF questions run the same engines and
 reflect the witness back.  Reflection (x -> 2**N + 1 - x) keeps every
 XOR (a-1) ^ (b-1) and reverses the leaf order, so in level space it
 reverses the profile: a revF search colors `profile[::-1]`.  Leaf space
-runs on `ReflectedColoring`, or for a membership test on the reversed
-host (`families.reverse`).
+runs on `ReflectedColoring`, which mirrors each query; for a membership
+test it also reads the host's own incidence lists through the
+reflection x -> v + 1 - x (`_MirroredIncidence`), so no reversed host
+is built.
 
 Witness tie-breaking is lexicographic in (color, chain, connector
 assignment in colex-J order); reversed-flavor witnesses compare through
@@ -63,7 +65,6 @@ from .families import (
     connector_sets,
     member_edges,
     placed_as_member,
-    reverse,
 )
 
 CLEAN = "clean"
@@ -81,7 +82,8 @@ class SearchCounters:
     rejected by a color check, `chi_evals` edge colors evaluated,
     `admissible_computed` connector answers computed and `memo_hits`
     connector answers read from the memo.  On a host's incidence lists
-    (a `MembershipColoring` in color 0) `nodes` counts only the
+    (a `MembershipColoring` in color 0, or a `ReflectedColoring` of one,
+    which reads them through the reflection) `nodes` counts only the
     candidates drawn from those lists, and `chi_evals` only the
     special-edge membership tests, since connector answers are read off
     the lists without asking `_eval`.  Level space: `nodes` counts
@@ -163,8 +165,8 @@ class ReflectedColoring:
         self.ground_size = inner.ground_size
 
     def _eval(self, elems: tuple[int, ...]) -> int:
-        m = self.ground_size + 1
-        return self.inner._eval(tuple(m - x for x in reversed(elems)))
+        reflect = (self.ground_size + 1).__sub__  # x -> ground_size + 1 - x
+        return self.inner._eval(tuple(map(reflect, reversed(elems))))
 
 
 class MembershipColoring:
@@ -172,7 +174,9 @@ class MembershipColoring:
 
     Lets the monochromatic-copy engine double as an ordered-containment
     test: a color-0 copy is exactly an ordered subgraph embedding.  The
-    leaf engine reads color-0 candidates from `host.incidence`.
+    leaf engine reads color-0 candidates from `host.incidence`, and for a
+    `ReflectedColoring` of the test from those lists reflected
+    (`_MirroredIncidence`).
     """
 
     def __init__(self, host: OrderedHypergraph):
@@ -183,6 +187,25 @@ class MembershipColoring:
 
     def _eval(self, elems: tuple[int, ...]) -> int:
         return 0 if elems in self.edge_set else 1
+
+
+class _MirroredIncidence(dict):
+    """A host's incidence lists read through the reflection x -> v + 1 - x:
+    entry p holds the host's edges through v + 1 - p, each reflected and
+    sorted: the reversed host's edges through p, though maybe listed in
+    another order (the leaf engine reads an entry as a set).  An entry
+    is built on first use and kept for one search, so only the vertices
+    the search touches are mirrored."""
+
+    def __init__(self, host: OrderedHypergraph):
+        super().__init__()
+        self.through = host.incidence
+        self.m = host.v + 1
+
+    def __missing__(self, p: int) -> list[tuple[int, ...]]:
+        reflect = self.m.__sub__
+        edges = self[p] = [tuple(map(reflect, reversed(e))) for e in self.through[self.m - p]]
+        return edges
 
 
 def _ticker(counters: SearchCounters, budget: Optional[SearchBudget]):
@@ -219,7 +242,9 @@ def _search_chains_ascending(evaluator, spec_fields, color, budget):
     table or a proxy of one scans every position in range at every
     depth and every v in [x_0, x_1] for a connector.  A
     `MembershipColoring` asked for color 0, the host's edges, draws them
-    from the host's incidence lists instead:
+    from the host's incidence lists instead, and a `ReflectedColoring` of
+    one from those lists read through the reflection
+    (`_MirroredIncidence`), the reversed host's lists without building it:
 
     * x_0 is the first vertex of some host edge, as of the special edge.
     * x_i for i = I[m] follows the special edge's placed vertices
@@ -255,9 +280,15 @@ def _search_chains_ascending(evaluator, spec_fields, color, budget):
     memo: dict = {}
     chain: list[int] = [0] * (n + 1)
 
-    if isinstance(evaluator, MembershipColoring) and color == 0:
-        incidence = evaluator.host.incidence
-        starts = sorted({e[0] for e in evaluator.host.edges})
+    membership = evaluator.inner if isinstance(evaluator, ReflectedColoring) else evaluator
+    if isinstance(membership, MembershipColoring) and color == 0:
+        host = membership.host
+        if membership is evaluator:
+            incidence = host.incidence
+            starts = sorted({e[0] for e in host.edges})
+        else:
+            incidence = _MirroredIncidence(host)
+            starts = sorted(map(incidence.m.__sub__, {e[-1] for e in host.edges}))
         # x_{I[m]} -> chain positions of the special edge's first m + 1 vertices
         special_prefix = {i: (0,) + I[:m] for m, i in enumerate(I)}
 
@@ -530,8 +561,9 @@ def find_mono_f_copy(
     function of the edge's level profile; reflection reverses that
     profile, so a revF slot colors `profile[::-1]`.  Any other evaluator
     is searched in leaf space (`_search_chains_ascending`), reflected
-    by `ReflectedColoring` for revF, or for a `MembershipColoring` run
-    on the reversed host, so that its incidence lists still serve.  The
+    by `ReflectedColoring` for revF; for a `MembershipColoring` that
+    engine reads the host's own incidence lists through the reflection
+    x -> v + 1 - x, so no reversed host is built.  The
     two engines give the same status and witness, and their counters
     count different things (see `SearchCounters`).  This function
     searches every revF question itself, for any evaluator; only the
@@ -559,13 +591,7 @@ def find_mono_f_copy(
             profile_color = chi._color_of_profile
         engine = partial(_search_levels, chi.depth, profile_color)
     else:
-        evaluator = chi
-        if reversed_flavor:
-            evaluator = (
-                MembershipColoring(reverse(chi.host))
-                if isinstance(chi, MembershipColoring)
-                else ReflectedColoring(chi)
-            )
+        evaluator = ReflectedColoring(chi) if reversed_flavor else chi
         engine = partial(_search_chains_ascending, evaluator)
 
     counters = SearchCounters()
@@ -886,8 +912,9 @@ def contains_family_member(host: OrderedHypergraph, spec: FamilySpec) -> bool:
     covered without enumerating members.  The leaf engine draws chain
     leaves and connectors from the host's incidence lists, not from
     every position, and returns the same least witness as that scan
-    (`_search_chains_ascending` says why); revF runs F on the reversed
-    host and reflects the witness back.  The witness is re-checked with
+    (`_search_chains_ascending` says why); revF reads the same host
+    through the reflection x -> v + 1 - x, runs F there and reflects the
+    witness back.  The witness is re-checked with
     `validate_witness` before the answer is given.
     """
     if spec.flavor not in (FLAVOR_F, FLAVOR_REVF):

@@ -433,7 +433,7 @@ class MonteCarloReport:
     seed: int
     found: dict[str, int]
     failures: tuple[dict, ...]
-    trial_ms: tuple[float, ...]
+    trial_ms: tuple[tuple[float, float], ...]  # (setup, search) per trial
 
     def found_fraction(self, flavor: str) -> float:
         return self.found[flavor] / self.trials
@@ -469,16 +469,34 @@ def ordering_as_hypergraph(system, ordering: Sequence[int]) -> OrderedHypergraph
 
 
 def _run_ordering_trial(args):
+    """One trial: (system, targets, seed, t) -> (t, hits, ordering,
+    (setup_ms, search_ms)), the set-up being the relabelling."""
     system, targets, seed, t = args
     rng = random.Random(f"ordering:{seed}:{t}")
     ordering = _shuffled(list(range(1, system.vertex_count + 1)), rng)
     start = time.monotonic()
     host = ordering_as_hypergraph(system, ordering)
+    relabelled = time.monotonic()
     hits = {
         flavor: find_ordered_copy(host, target) is not None
         for flavor, target in targets.items()
     }
-    return t, hits, ordering, (time.monotonic() - start) * 1000.0
+    end = time.monotonic()
+    return t, hits, ordering, ((relabelled - start) * 1000.0, (end - relabelled) * 1000.0)
+
+
+# A worker process's system and targets, handed over once by the pool's
+# initializer, so that each task carries only its (seed, t).
+_worker_inputs: tuple = ()
+
+
+def _init_worker(system, targets) -> None:
+    global _worker_inputs
+    _worker_inputs = (system, targets)
+
+
+def _run_worker_trial(seed_t):
+    return _run_ordering_trial(_worker_inputs + seed_t)
 
 
 def sample_ordering_and_search(
@@ -490,7 +508,8 @@ def sample_ordering_and_search(
     canonical member of the G flavor and of the revG flavor as ordered
     subgraphs.  Failing orderings are kept verbatim for replay.  Trial
     seeds are derived by counter, so the report does not depend on the
-    worker count.  At most `trials` worker processes are started.
+    worker count.  At most `trials` worker processes are started, and
+    each receives the system and targets once, when it starts.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -510,15 +529,16 @@ def sample_ordering_and_search(
         FLAVOR_G: canonical_member(spec.with_flavor(FLAVOR_G)),
         FLAVOR_REVG: canonical_member(spec.with_flavor(FLAVOR_REVG)),
     }
-    tasks = [(system, targets, seed, t) for t in range(trials)]
     workers = min(workers, trials)
     if workers == 1:
-        results = [_run_ordering_trial(task) for task in tasks]
+        results = [_run_ordering_trial((system, targets, seed, t)) for t in range(trials)]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_ordering_trial, tasks))
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(system, targets)
+        ) as pool:
+            results = list(pool.map(_run_worker_trial, [(seed, t) for t in range(trials)]))
 
     found = {FLAVOR_G: 0, FLAVOR_REVG: 0}
     failures = []

@@ -515,8 +515,14 @@ class TestCommands:
         assert code in (0, 1)
         assert (code == 0) == (not report["failures"])
         assert "trial_ms" not in report
-        trial_ms = json.loads((out / "manifest.json").read_text())["metrics"]["trial_ms"]
-        assert 0 <= trial_ms["p50"] <= trial_ms["p95"] <= trial_ms["max"]
+        metrics = json.loads((out / "manifest.json").read_text())["metrics"]
+        # the whole trial, its set-up (the relabelling) and its search
+        assert set(metrics) == {"trial_ms", "trial_setup_ms", "trial_search_ms"}
+        for part in metrics.values():
+            assert 0 <= part["p50"] <= part["p95"] <= part["max"]
+        assert metrics["trial_ms"]["max"] <= (
+            metrics["trial_setup_ms"]["max"] + metrics["trial_search_ms"]["max"]
+        )
 
     def test_mc_run_flavors_write_the_same_report(self, tmp_path, capsys):
         system = tmp_path / "r.json"

@@ -28,12 +28,14 @@ from treeramsey import (
     build_projective_plane,
     build_tower,
     canonical_member,
+    canonical_separated,
     classify,
     contains_family_member,
     find_mono_f_copy,
     find_ordered_copy,
     ordering_as_hypergraph,
     projection,
+    reverse,
     validate_witness,
     verify_stepup_avoidance,
 )
@@ -917,6 +919,56 @@ class TestContainment:
         monkeypatch.setattr(search_module, "find_mono_f_copy", lambda *args: outcome)
         with pytest.raises(AssertionError, match="re-check"):
             contains_family_member(host, spec)
+
+
+@pytest.fixture(scope="module")
+def plane29():
+    return build_projective_plane(29)
+
+
+def reversed_host_reference(host, spec):
+    """revF containment answered on a reversed copy of the host: F on
+    `reverse(host)`, with the witness reflected back to the host."""
+    outcome = find_mono_f_copy(MembershipColoring(reverse(host)), spec.with_flavor(FLAVOR_F), {0})
+    witness = outcome.witness
+    if witness is not None:
+        m = host.v + 1
+        witness = MonoCopyWitness(
+            FLAVOR_REVF, witness.color, tuple(m - x for x in witness.distinguished),
+            tuple((J, m - v) for J, v in witness.assignment),
+        )
+    return outcome.status, witness, outcome.counters
+
+
+class TestReversedFlavorOnTheHost:
+    """revF containment reads the host's own incidence lists through the
+    reflection x -> v + 1 - x; it gives the status, witness and counters
+    of F on the reversed host."""
+
+    @staticmethod
+    def statuses(system, n, k, seeds):
+        spec = FamilySpec(k, n, canonical_separated(n, k), FLAVOR_REVF)
+        seen = []
+        for seed in seeds:
+            host = seeded_ordering(system, seed)
+            got = find_mono_f_copy(MembershipColoring(host), spec, {0})
+            assert (got.status, got.witness, got.counters) == reversed_host_reference(host, spec)
+            assert contains_family_member(host, spec) == (got.status == WITNESS)
+            seen.append(got.status)
+        return seen
+
+    def test_blowup_orderings(self):
+        seen = []
+        for n, k, m in [(3, 3, 1), (3, 3, 2), (3, 3, 3), (4, 3, 2), (4, 3, 3), (4, 4, 2),
+                        (5, 3, 2)]:
+            system = build_blowup(n, k, tuple(range(1, k)), m)
+            seen += self.statuses(system, n, k, range(15))
+        assert {CLEAN, WITNESS} <= set(seen)
+
+    @pytest.mark.parametrize("n,k,m", [(3, 3, 3), (4, 3, 2), (4, 4, 2)])
+    def test_glued_system_orderings(self, plane29, n, k, m):
+        glued = assemble_h(build_blowup(n, k, tuple(range(1, k)), m), plane29, seed=99)
+        assert self.statuses(glued, n, k, range(3)) == [WITNESS] * 3
 
 
 class TestWitnessValidation:

@@ -589,8 +589,9 @@ class TestOrderingExperiment:
         asked = []
 
         class RecordingPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 asked.append(max_workers)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
