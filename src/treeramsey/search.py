@@ -53,7 +53,7 @@ import operator
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 from typing import Optional, Sequence
 
 from .colorings import SteppedColoring
@@ -90,8 +90,12 @@ class SearchCounters:
     realizable letters tried over all oracle calls of the search,
     `prunes` letters rejected by a color check, `chi_evals` level
     profiles colored through the coloring's table, `memo_hits` profile
-    colors read from the search's profile cache, and `admissible_computed` the
-    sets of admissible connector offsets computed.
+    colors read from the search's profile cache, and
+    `admissible_computed` the entries of the offset rows computed (each
+    the mask of a connector edge's offsets in [0, l_1] that have the
+    color; see `_search_levels`).  A row entry colors every offset up
+    to l_1, not only those still possible, so `chi_evals` can exceed
+    the count of a search that colors only the possible ones.
     """
 
     nodes: int = 0
@@ -189,7 +193,22 @@ class MembershipColoring:
         return 0 if elems in self.edge_set else 1
 
 
-class _MirroredIncidence(dict):
+class _Filled(dict):
+    """A dict whose missing entry `key` is `fill(key)`, computed on first
+    read and kept."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+class _MirroredIncidence(_Filled):
     """A host's incidence lists read through the reflection x -> v + 1 - x:
     entry p holds the host's edges through v + 1 - p, each reflected and
     sorted: the reversed host's edges through p, though maybe listed in
@@ -198,14 +217,8 @@ class _MirroredIncidence(dict):
     the search touches are mirrored."""
 
     def __init__(self, host: OrderedHypergraph):
-        super().__init__()
-        self.through = host.incidence
-        self.m = host.v + 1
-
-    def __missing__(self, p: int) -> list[tuple[int, ...]]:
-        reflect = self.m.__sub__
-        edges = self[p] = [tuple(map(reflect, reversed(e))) for e in self.through[self.m - p]]
-        return edges
+        m, through = host.v + 1, host.incidence
+        super().__init__(lambda p: [tuple(map(m.__sub__, reversed(e))) for e in through[m - p]])
 
 
 def _ticker(counters: SearchCounters, budget: Optional[SearchBudget]):
@@ -246,7 +259,9 @@ def _search_chains_ascending(evaluator, spec_fields, color, budget):
     one from those lists read through the reflection
     (`_MirroredIncidence`), the reversed host's lists without building it:
 
-    * x_0 is the first vertex of some host edge, as of the special edge.
+    * x_0 is the first vertex of some host edge, as of the special edge:
+      a vertex that begins an edge of its own incidence list, tested
+      lazily in increasing order.
     * x_i for i = I[m] follows the special edge's placed vertices
       (x_0, x_{I[0]}, ..., x_{I[m-1]}) in a host edge that begins with
       them; for i = I[-1] it is that edge's last vertex.
@@ -283,12 +298,7 @@ def _search_chains_ascending(evaluator, spec_fields, color, budget):
     membership = evaluator.inner if isinstance(evaluator, ReflectedColoring) else evaluator
     if isinstance(membership, MembershipColoring) and color == 0:
         host = membership.host
-        if membership is evaluator:
-            incidence = host.incidence
-            starts = sorted({e[0] for e in host.edges})
-        else:
-            incidence = _MirroredIncidence(host)
-            starts = sorted(map(incidence.m.__sub__, {e[-1] for e in host.edges}))
+        incidence = host.incidence if membership is evaluator else _MirroredIncidence(host)
         # x_{I[m]} -> chain positions of the special edge's first m + 1 vertices
         special_prefix = {i: (0,) + I[:m] for m, i in enumerate(I)}
 
@@ -314,8 +324,8 @@ def _search_chains_ascending(evaluator, spec_fields, color, budget):
                     found = ends if found is None else found & ends
             elif depth:
                 return range(lo, hi + 1)
-            else:
-                found = starts
+            else:  # x_0 begins some edge through it, drawn lazily in order
+                return (x for x in range(lo, hi + 1) if any(e[0] == x for e in incidence[x]))
             return [x for x in sorted(found) if lo <= x <= hi]
 
     else:
@@ -411,6 +421,32 @@ def _search_levels(N, profile_color, spec_fields, color, budget):
     built to ask them: the member rule (`families.member_edges`,
     `families.placed_as_member`) is read in level form, each edge by its
     profile and each connector of [x_0, x_1] by its offset.
+
+    Connector masks.  `extend` keeps, for each connector J with
+    max(J) < d, the mask of J's offsets that have the color and are
+    still in `opts`; a letter is pruned when one of them empties.  Why
+    (head, done, l_1, last) is a sufficient key for J's offsets: the
+    J-edge with offset t, {v} | {x_j : j in J}, has the profile
+    (max(t, head), *done, last).  Here head = max(l_2 .. l_{J[0]}) is
+    the level of x_1 and x_{J[0]}; for t > 0, x_1 - 1 has bit t-1 set
+    and bit head-1 clear, so the level of v and x_{J[0]} is max(t, head)
+    when t != head, and t = head is never in `opts`, since the largest
+    of l_2 .. l_{J[0]} is a record.  `done` holds the maxima of the
+    segments (J[i], J[i+1]] before the last, and `last` that of
+    (J[-2], d], which is max(run, l_d) with run the maximum of
+    l_{J[-2]+1} .. l_{d-1}.  The color is a function of the profile, so
+    the set of t in [0, l_1] whose J-edge has the color depends on the
+    key alone, and since `opts` lies in [0, l_1], that set ANDed with
+    `opts` is J's mask.  The search keeps the set in
+    `rows[head, *done, l_1][last]`, filled on first read: `extend` finds
+    each J's row and run once per call, and a letter c then costs
+    max(run, c), a lookup and an AND.  Why the masks of earlier
+    connectors need a check only when c is a record (c > top):
+    otherwise `opts` is unchanged, and every mask passed down meets
+    `opts`, since a letter recurses only once its own masks and all
+    earlier ones meet its `opts`.  So the letters pruned are exactly
+    those a check of every mask at every letter prunes, in the same
+    order, and `nodes` and `prunes` are theirs.
     """
     k, n, I = spec_fields
     connectors_by_max = _connectors_by_max(n, k)
@@ -431,34 +467,35 @@ def _search_levels(N, profile_color, spec_fields, color, budget):
             counters.memo_hits += 1
         return c
 
-    def admissible(J, opts):
-        """Bit mask of the offsets t in `opts` whose J-edge has the color.
-
-        The edge's profile is (max(t, head), rest...), so every t <= head
-        shares one profile.
-        """
+    def offsets(key, last):
+        """Bit mask of the offsets t in [0, l_1] whose edge has the color,
+        for key = (head, *done, l_1): the edge's profile is
+        (max(t, head), *done, last), so every t <= head shares one."""
         counters.admissible_computed += 1
-        head = max(word[2 : J[0] + 1])
-        rest = tuple(max(word[a + 1 : b + 1]) for a, b in zip(J, J[1:]))
-        mask = 0
-        if edge_color((head,) + rest) == color:
-            mask = opts & ((2 << head) - 1)
-        for t in range(head + 1, opts.bit_length()):
-            if opts >> t & 1 and edge_color((t,) + rest) == color:
+        head, l1 = key[0], key[-1]
+        rest = key[1:-1] + (last,)
+        mask = (2 << min(head, l1)) - 1 if edge_color((head,) + rest) == color else 0
+        for t in range(head + 1, l1 + 1):
+            if edge_color((t,) + rest) == color:
                 mask |= 1 << t
         return mask
 
-    def admit(d, opts, masks):
-        """The admissible masks of the connector sets J with max(J) <= d,
-        or None once one of them has no offset left in `opts`."""
-        if not all(m & opts for m in masks):
-            return None
-        for J in connectors_by_max.get(d, ()):
-            m = admissible(J, opts)
-            if not m:
-                return None
-            masks += (m,)
-        return masks
+    # (head, *done, l_1) -> last -> offsets(key, last), filled on first read
+    rows = _Filled(lambda key: _Filled(partial(offsets, key)))
+    # J -> the word's slices whose maxima key J's row (head, then J's
+    # closed segments), and J's last segment without max(J)
+    spans = {
+        J: ((slice(2, J[0] + 1), *(slice(a + 1, b + 1) for a, b in zip(J, J[1:-1]))),
+            slice(J[-2] + 1, J[-1]))
+        for J in connector_sets(n, k)
+    }
+
+    def connector_row(J):
+        """J's row of offset masks, and `run`, the maximum of J's last
+        segment before max(J): the segment's maximum is max(run, l_{max(J)})."""
+        keyed, before = spans[J]
+        row = rows[(*map(max, map(word.__getitem__, keyed)), word[1])]
+        return row, max(word[before], default=0)
 
     def extend(d, y, top, opts, masks):
         """Try l_d with x_{d-1} - 1 = y; records of l_2 .. l_{d-1} reach
@@ -467,23 +504,33 @@ def _search_levels(N, profile_color, spec_fields, color, budget):
             # l_d enters only the last segment of the special edge's profile
             head = tuple(max(word[a + 1 : b + 1]) for a, b in zip(cuts, cuts[1:-1]))
             low = max(word[cuts[-2] + 1 : d], default=0)
+        at_d = [connector_row(J) for J in connectors_by_max.get(d, ())]
         for c in range(1, N + 1):
             if y >> (c - 1) & 1:
                 continue  # unrealizable: x_d would not exceed x_{d-1}
             tick()
             word[d] = c
-            new_opts = opts & ~(1 << c) if c > top else opts
             if d == special_at and edge_color(head + (max(low, c),)) != color:
                 counters.prunes += 1
                 continue
-            new_masks = admit(d, new_opts, masks)
-            if new_masks is None:
-                counters.prunes += 1
-                continue
-            if d == n or extend(
-                d + 1, y >> c << c | 1 << (c - 1), max(top, c), new_opts, new_masks
-            ):
-                return True
+            new_opts = opts
+            if c > top:  # a record: offset c is closed, which may empty an earlier mask
+                new_opts = opts & ~(1 << c)
+                if not all(m & new_opts for m in masks):
+                    counters.prunes += 1
+                    continue
+            new_masks = masks
+            for row, run in at_d:
+                m = row[run if run > c else c] & new_opts
+                if not m:
+                    counters.prunes += 1
+                    break
+                new_masks += (m,)
+            else:
+                if d == n or extend(
+                    d + 1, y >> c << c | 1 << (c - 1), max(top, c), new_opts, new_masks
+                ):
+                    return True
         return False
 
     def complete(first_letters, zeros):
@@ -525,7 +572,8 @@ def _search_levels(N, profile_color, spec_fields, color, budget):
     final = 1 | 1 << l1 | ones
     assignment = []
     for J in connector_sets(n, k):
-        t = admissible(J, final).bit_length() - 1  # largest admissible offset
+        row, run = connector_row(J)
+        t = (row[max(run, word[J[-1]])] & final).bit_length() - 1  # largest admissible offset
         assignment.append((J, (ys[1] >> t << t) + 1))
     witness = MonoCopyWitness(
         FLAVOR_F, color, tuple(y + 1 for y in ys), tuple(assignment)
@@ -769,6 +817,46 @@ def _connected_order(through, i: int) -> list[int]:
     return order
 
 
+@lru_cache(maxsize=64)
+def _placement_plans(tv: int, target_edges: tuple[tuple[int, ...], ...]) -> tuple:
+    """The plans of `find_ordered_copy` for the target with tv vertices
+    and these edges (its labels play no part): for i = 1, 2, ... up to
+    the first i whose connected order is the index order, the steps that
+    place i, then the rest in connected order, with 1 .. i-1 placed, and
+    whether that is the index order.  A step is (vertex, nearest placed
+    vertex below, nearest above, its edge patterns, its degree); an edge
+    pattern is (id, the vertex's position in the edge, getters of the
+    placed vertices' positions and of their images), one per (vertex,
+    edge, its placed vertices).  Each target value is planned once and
+    the result, all tuples, is shared by every call, as
+    `families.connector_sets` is."""
+    through = OrderedHypergraph(tv, target_edges).incidence
+    patterns: dict = {}
+    plans = []
+    for i in range(1, tv + 1):
+        order = _connected_order(through, i)
+        placed = set(range(1, i))
+        steps = []
+        for v in order:
+            edges = []
+            for e in through[v]:
+                known = tuple(q for q in e if q in placed)
+                if known:
+                    edges.append(patterns.setdefault((v, e, known), (
+                        len(patterns), e.index(v),
+                        operator.itemgetter(*map(e.index, known)), operator.itemgetter(*known),
+                    )))
+            below = max((p for p in placed if p < v), default=0)
+            above = min((p for p in placed if p > v), default=tv + 1)
+            steps.append((v, below, above, tuple(edges), len(through[v])))
+            placed.add(v)
+        in_order = order == list(range(i, tv + 1))
+        plans.append((tuple(steps), in_order))
+        if in_order:
+            break
+    return tuple(plans)
+
+
 def find_ordered_copy(
     host: OrderedHypergraph, target: OrderedHypergraph
 ) -> Optional[tuple[int, ...]]:
@@ -810,40 +898,21 @@ def find_ordered_copy(
     one a scan of every host position returns.  A target whose every
     vertex after the first shares an edge with an earlier one, such as
     a canonical revG member, therefore runs one search in index order.
+
+    The placement plans depend on the target's vertex count and edges
+    alone, so they are built once per target value and shared by every
+    call (`_placement_plans`); the images and candidate pools are the
+    call's own.
     """
     if not target.edges:
         raise ValueError("target must have at least one edge")
     if host.uniformity != target.uniformity:
         return None
     incidence, hv, tv = host.incidence, host.v, target.v
-    through = target.incidence
     image = [0] * (tv + 2)  # image[0] and image[tv + 1] stand for the host's ends
     image[tv + 1] = hv + 1
-    # Edge patterns by (vertex, edge, its placed vertices), and their
-    # sorted candidates by the placed images, kept for the call.
-    patterns: dict = {}
+    # Sorted candidates of an edge pattern by the placed images, kept for the call.
     pools: dict = {}
-
-    def plan(i):
-        """The steps that place i, then the rest in connected order, with
-        1 .. i-1 placed; and whether that is the index order."""
-        order = _connected_order(through, i)
-        placed = set(range(1, i))
-        steps = []
-        for v in order:
-            edges = []
-            for e in through[v]:
-                known = tuple(q for q in e if q in placed)
-                if known:
-                    edges.append(patterns.setdefault((v, e, known), (
-                        len(patterns), e.index(v),
-                        operator.itemgetter(*map(e.index, known)), operator.itemgetter(*known),
-                    )))
-            below = max((p for p in placed if p < v), default=0)
-            above = min((p for p in placed if p > v), default=tv + 1)
-            steps.append((v, below, above, edges))
-            placed.add(v)
-        return steps, order == list(range(i, tv + 1))
 
     def matches(pattern):
         """Sorted host vertices at position `at` of the host edges that
@@ -859,8 +928,7 @@ def find_ordered_copy(
         return pools[key]
 
     def candidates(step, top):
-        v, below, above, edges = step
-        need = len(through[v])
+        v, below, above, edges, need = step
         lo = image[below] + v - below
         hi = min(image[above] - (above - v), top)
         if edges:
@@ -893,8 +961,7 @@ def find_ordered_copy(
         return False
 
     best = None
-    for i in range(1, tv + 1):
-        steps, in_order = plan(i)
+    for i, (steps, in_order) in enumerate(_placement_plans(tv, target.edges), 1):
         if embed(steps, hv if best is None else best[i] if in_order else best[i] - 1):
             best = image[:]
         elif best is None:

@@ -411,13 +411,16 @@ class TestAvoidanceReport:
         # though revF/2 repeats F/1 and at k = 3 revF/3 repeats F/0.  At
         # k = 4 the `0 1 0` base has F/0 at 11 letters and revF/3 at 8,
         # so repeating revF/3 there fails here.
-        grid = itertools.chain(level_grid(), [
-            (build_tower(c4_coloring(), 4).top, FamilySpec(4, 6, (1, 2, 3), FLAVOR_F)),
-        ])
+        c4_tower = (build_tower(c4_coloring(), 4).top, FamilySpec(4, 6, (1, 2, 3), FLAVOR_F))
+        grid = itertools.chain(level_grid(), [c4_tower])
         pinned = (
             build_tower(BaseColoring(2, 3, BINARY, (0, 1, 0)), 4).top,
             FamilySpec(4, 4, (1, 2, 3), FLAVOR_F),
         )
+        # Level space: letters tried over all oracle calls of each slot,
+        # and those rejected, per slot of the C4 k = 4 n = 6 tower; they
+        # are what `--max-nodes` counts.
+        c4_letters = [(270, 246), (28_890, 26_910), (28_890, 26_910), (13_224, 12_280)]
         repeated = witnesses = 0
         for chi, spec in grid:
             report = verify_stepup_avoidance(chi, spec)
@@ -430,8 +433,9 @@ class TestAvoidanceReport:
                     repeated += 1
                     witnesses += slot.witness is not None
             if (chi, spec) == pinned:
-                # level space: letters tried over all oracle calls of each slot
                 assert report.to_json()["counters"]["nodes"] == 433
+            if (chi, spec) == c4_tower:
+                assert [(s.counters.nodes, s.counters.prunes) for s in report.slots] == c4_letters
         assert repeated > 60 and witnesses
 
     def test_witness_failing_recheck_raises(self, monkeypatch):
@@ -666,9 +670,12 @@ class TestOrderedCopyMatchesOracle:
         assert find_ordered_copy(host, target) == find_ordered_copy_by_scan(host, target)
 
     def test_blowup_orderings(self):
+        # Each target is reused across the hosts, and the G member also
+        # comes with other labels, which play no part in its placement.
         system = build_blowup(3, 3, (1, 2), m=3)
         spec = FamilySpec(3, 3, (1, 2), FLAVOR_G)
         targets = [canonical_member(spec.with_flavor(fl)) for fl in (FLAVOR_G, FLAVOR_REVG)]
+        targets.append(OrderedHypergraph(targets[0].v, targets[0].edges, {"x0": targets[0].v}))
         outcomes = set()
         for seed in range(60):
             host = seeded_ordering(system, seed)
@@ -701,6 +708,8 @@ class TestOrderedCopyMatchesOracle:
             return orders[-1]
 
         monkeypatch.setattr(search_module, "_connected_order", spy)
+        monkeypatch.setattr(search_module, "_placement_plans",
+                            search_module._placement_plans.__wrapped__)  # no plan is cached
         kinds = set()
         rng = random.Random(20261019)
         for _ in range(200):
@@ -877,12 +886,14 @@ class TestContainment:
             if color == 0:
                 assert (got.status == WITNESS) == contains_by_enumeration(host, spec)
 
-    def test_blowup_orderings_match_full_scan(self):
+    def test_blowup_orderings_match_full_scan(self, plane29):
+        # The blow-up's orderings, and one of the blow-up glued into the
+        # plane of order 29 (871 vertices): x_0 is drawn lazily there.
         system = build_blowup(3, 3, (1, 2), m=3)
         spec = FamilySpec(3, 3, (1, 2), FLAVOR_F)
+        glued = seeded_ordering(assemble_h(system, plane29, seed=99), 0)
         statuses, nodes = set(), [0, 0]
-        for seed in range(60):
-            host = seeded_ordering(system, seed)
+        for host in itertools.chain(map(partial(seeded_ordering, system), range(60)), [glued]):
             for flavor in (FLAVOR_F, FLAVOR_REVF):
                 got, scan = assert_same_as_full_scan(host, spec.with_flavor(flavor))
                 statuses.add(got.status)
