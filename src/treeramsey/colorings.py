@@ -12,6 +12,7 @@ arrive, so it never holds more than depth**(k-1) entries.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import sys
@@ -119,8 +120,11 @@ class SteppedColoring:
     def uniformity(self) -> int:
         return self.inner.uniformity + 1
 
-    @property
+    @functools.cached_property
     def depth(self) -> int:
+        # Read once per coloring, not down the inner ground_size chain on
+        # every cold profile; a cached value sits in the instance dict,
+        # which equality, hashing and repr do not read, like `_table`.
         return self.inner.ground_size
 
     @property
@@ -156,7 +160,7 @@ class SteppedColoring:
             # a (k-1, 1) split is 1, (1, k-1) is 2, a balanced one 0
             color = 1 if left == k - 1 else 2 if left == 1 else 0
         else:
-            c = self.inner._eval(profile_projection(profile, self.inner.ground_size))
+            c = self.inner._eval(profile_projection(profile, self.depth))
             # k = 3 gives a left comb c; k >= 4 swaps
             color = c if (kind is ShapeKind.LEFT_COMB) == (k == 3) else 3 - c
         self._table[profile] = color

@@ -23,7 +23,7 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .reporting import check_schema, int_rows, write_records
@@ -132,7 +132,7 @@ class FamilySpec:
         return connector_sets(self.n, self.k)
 
     def with_flavor(self, flavor: str) -> "FamilySpec":
-        return replace(self, flavor=flavor)
+        return FamilySpec(self.k, self.n, self.I, flavor)
 
 
 def role_distinguished(i: int) -> str:

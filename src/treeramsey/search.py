@@ -52,9 +52,10 @@ from __future__ import annotations
 import operator
 import time
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 from .colorings import SteppedColoring
 from .families import (
@@ -240,11 +241,16 @@ def _ticker(counters: SearchCounters, budget: Optional[SearchBudget]):
     return tick
 
 
-def _connectors_by_max(n: int, k: int) -> dict[int, list[tuple[int, ...]]]:
+@lru_cache(maxsize=64)
+def _connectors_by_max(n: int, k: int) -> Mapping[int, tuple[tuple[int, ...], ...]]:
+    """`connector_sets(n, k)` grouped by their largest element, each group
+    in colex order.  Each (n, k) is grouped once and the result is shared
+    by every search, as `families.connector_sets` is, so it is a
+    read-only mapping of tuples."""
     by_max: dict[int, list[tuple[int, ...]]] = {}
     for J in connector_sets(n, k):
         by_max.setdefault(max(J), []).append(J)
-    return by_max
+    return MappingProxyType({d: tuple(group) for d, group in by_max.items()})
 
 
 def _search_chains_ascending(evaluator, spec_fields, color, budget):
@@ -581,11 +587,12 @@ def _search_levels(N, profile_color, spec_fields, color, budget):
     return SearchOutcome(WITNESS, witness, counters)
 
 
-def _reflect_witness(w: MonoCopyWitness, ground_size: int) -> MonoCopyWitness:
+def _reflect_witness(w: MonoCopyWitness, ground_size: int, color: int) -> MonoCopyWitness:
+    """The revF witness in this color whose leaves are w's reflected."""
     m = ground_size + 1
     return MonoCopyWitness(
         FLAVOR_REVF,
-        w.color,
+        color,
         tuple(m - x for x in w.distinguished),
         tuple((J, m - v) for J, v in w.assignment),
     )
@@ -649,7 +656,7 @@ def find_mono_f_copy(
         if outcome.status != CLEAN:
             witness = outcome.witness
             if reversed_flavor and witness is not None:
-                witness = _reflect_witness(witness, chi.ground_size)
+                witness = _reflect_witness(witness, chi.ground_size, witness.color)
             return SearchOutcome(outcome.status, witness, counters)
     return SearchOutcome(CLEAN, None, counters)
 
@@ -780,10 +787,8 @@ def verify_stepup_avoidance(
         for color in colors:
             if flavor == FLAVOR_REVF and color in mirror:
                 twin = searched[mirror[color]]
-                witness = twin.witness and replace(
-                    _reflect_witness(twin.witness, chi.ground_size), color=color
-                )
-                outcome = SearchOutcome(twin.status, witness, replace(twin.counters))
+                witness = twin.witness and _reflect_witness(twin.witness, chi.ground_size, color)
+                outcome = SearchOutcome(twin.status, witness, SearchCounters(**vars(twin.counters)))
             else:
                 outcome = searched[color] = find_mono_f_copy(chi, slot_spec, {color}, budget)
             if outcome.witness is not None and not validate_witness(

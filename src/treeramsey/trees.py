@@ -17,6 +17,7 @@ reads all three.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -121,12 +122,29 @@ def profile_shape(profile: Sequence[int]) -> tuple[ShapeKind, int]:
     (min X - 1) ^ (max X - 1), so every leaf agrees with min X above
     bit b - 1 and sorted order puts the leaves with that bit clear
     first; one consecutive pair differs at bit b - 1, the rest below.
+
+    So the left count is read first, as i + 1 with i the first index of
+    the maximum, and each comb is tested for only where it can be; this
+    gives the definition's answer for every non-empty profile p of
+    length m, repeated entries included.  A strictly rising p has its
+    maximum at its last entry and nowhere before, so i + 1 = m: it
+    reaches the rising test, which holds, and is a left comb with left
+    count m.  A strictly falling p with m >= 2 does not rise strictly
+    and has its maximum at p[0] alone, so i + 1 = 1 != m: it reaches
+    the falling test, which holds, and is a right comb with left count
+    1.  At m = 1, p does both, i + 1 = 1 = m, and the rising test runs,
+    as the definition tests rising first: a left comb.  Any other p
+    fails whichever test it reaches and is a split with left count
+    i + 1.  The tests run at C speed and stop at the first pair out of
+    order.  An empty profile has no maximum and raises ValueError.
     """
-    if all(a < b for a, b in zip(profile, profile[1:])):
-        return ShapeKind.LEFT_COMB, len(profile)
-    if all(a > b for a, b in zip(profile, profile[1:])):
+    left = profile.index(max(profile)) + 1
+    if left == len(profile):
+        if all(map(operator.lt, profile, profile[1:])):
+            return ShapeKind.LEFT_COMB, left
+    elif left == 1 and all(map(operator.gt, profile, profile[1:])):
         return ShapeKind.RIGHT_COMB, 1
-    return ShapeKind.SPLIT, profile.index(max(profile)) + 1
+    return ShapeKind.SPLIT, left
 
 
 def split_parts(X: LeafSet) -> tuple[LeafSet, LeafSet]:

@@ -1,6 +1,7 @@
 """Stepping-up rules, towers, base search, reflection, and file IO."""
 
 import itertools
+import pickle
 import random
 import sys
 
@@ -218,11 +219,18 @@ class TestProfileTable:
         rng = random.Random(11)
         for _ in range(500):
             warmed.top.color_of(rng.sample(range(1, 257), 4))
+        # the cached depth, like the table, must not tell the two apart
+        assert [level.depth for level in warmed.levels] == [3, 8]
         assert warmed.top._table and not fresh.top._table
-        assert warmed == fresh and warmed.top == fresh.top
-        assert hash(warmed.top) == hash(fresh.top)
-        assert repr(warmed.top) == repr(fresh.top)
-        assert repr(warmed) == repr(fresh)
+        assert "depth" in vars(warmed.top) and "depth" not in vars(fresh.top)
+        thawed = pickle.loads(pickle.dumps(warmed))
+        assert thawed.top._table == warmed.top._table
+        assert vars(thawed.top)["depth"] == 8
+        for tower in (warmed, thawed):
+            assert tower == fresh and tower.top == fresh.top
+            assert hash(tower.top) == hash(fresh.top)
+            assert repr(tower.top) == repr(fresh.top)
+            assert repr(tower) == repr(fresh)
 
 
 class TestReflection:

@@ -169,6 +169,44 @@ class TestProfileShapeMirror:
         assert {(5, ShapeKind.SPLIT, l) for l in range(1, 5)} <= seen
 
 
+def shape_by_definition(p):
+    """The shape rule as defined: a strictly rising profile is a left
+    comb (tested first, so a single entry is one), a strictly falling one
+    a right comb, and any other a split whose left part ends at the first
+    largest entry."""
+    pairs = list(zip(p, p[1:]))
+    if all(a < b for a, b in pairs):
+        return ShapeKind.LEFT_COMB, len(p)
+    if all(a > b for a, b in pairs):
+        return ShapeKind.RIGHT_COMB, 1
+    return ShapeKind.SPLIT, p.index(max(p)) + 1
+
+
+class TestProfileShapeDefinition:
+    """`profile_shape` reads the left count off the maximum and tests for
+    a comb only where one can be; it must agree with the definition."""
+
+    def test_every_small_word(self):
+        words = [p for m in range(1, 5) for p in itertools.product(range(1, 7), repeat=m)]
+        assert len(words) == 1554  # repeated entries included
+        kinds = set()
+        for p in words:
+            expected = shape_by_definition(p)
+            assert profile_shape(p) == profile_shape(list(p)) == expected, p
+            kinds.add(expected[0])
+        assert kinds == set(ShapeKind)
+
+    def test_realizable_profiles(self):
+        for depth, length in ((8, 2), (8, 3), (8, 4), (6, 5)):
+            for p in realizable_profiles(depth, length):
+                assert profile_shape(p) == shape_by_definition(p), p
+
+    def test_empty_profile_is_refused(self):
+        # no caller passes one: every leaf set with a shape has 2 leaves or more
+        with pytest.raises(ValueError):
+            profile_shape(())
+
+
 class TestClassify:
     @pytest.mark.parametrize(
         "elements,depth,kind",
