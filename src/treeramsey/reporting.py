@@ -7,7 +7,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 MANIFEST_SCHEMA = "treeramsey/manifest/1"
 TOWER_SCHEMA = "treeramsey/tower/1"
@@ -61,35 +61,42 @@ def int_rows(rows, kind=list) -> Optional[set[int]]:
     return set(map(len, rows)) if _rows_of_ints(rows, kind) else None
 
 
-def _int_records(items: list) -> bool:
-    """True when every item is an int row, or every item a list of int
-    rows (provenance): then repr writes each item as the encoder would.
-    The first item picks which, so each nesting level is checked once; a
-    list the guess does not fit goes through the encoder, as any other."""
-    first = items[0]
-    if type(first) is list and first and type(first[0]) is list:
-        if set(map(type, items)) != {list}:
-            return False
-        items = list(itertools.chain.from_iterable(items))
-    return _rows_of_ints(items)
+def _written(items: list) -> Iterable[str]:
+    """Each item of a non-empty list as the encoder writes it: int list
+    rows, or lists of them (provenance), by repr; int tuple rows of one
+    length, or tuples of one such row (provenance with one copy), by one
+    %d template.  The first item picks the shape, and each nesting level
+    is checked once by exact type; other lists go through the encoder."""
+    first, rows = items[0], items
+    kind = type(first)
+    nested = kind in (list, tuple) and first and type(first[0]) is kind
+    if nested:
+        if set(map(type, items)) != {kind} or kind is tuple and set(map(len, items)) != {1}:
+            return map(_RECORD.encode, items)
+        rows = list(itertools.chain.from_iterable(items))
+    if kind is list and _rows_of_ints(rows):
+        return map(repr, items)
+    lengths = int_rows(rows, tuple) if kind is tuple else None
+    if lengths is None or len(lengths) != 1:
+        return map(_RECORD.encode, items)
+    fmt = ("[[%s]]" if nested else "[%s]") % ", ".join(["%d"] * lengths.pop())
+    return map(fmt.__mod__, rows)
 
 
 def dump_records(obj: dict) -> str:
     """Data-file serialization: one top-level key per line, sorted, and
     each item of a top-level list on a line of its own, as compact JSON
-    with sorted keys.  Parses to obj, as dump_json does.
-
-    A list whose items are all int lists (edges, plane lines) or all
-    lists of int lists (provenance) takes the C-speed path: each item is
-    written by repr, with no per-item encoder call.  Every other list
-    goes through the encoder item by item; the bytes are the same."""
+    with sorted keys.  Parses to obj, as dump_json does, tuples read as
+    lists.  Int rows, lists or tuples (edges, plane lines), and
+    provenance records of them are written at C speed by `_written`;
+    every other list goes through the encoder item by item, with the
+    same bytes."""
     fields = []
     for key in sorted(obj):
         value = obj[key]
         head = json.dumps(key) + ": "
         if isinstance(value, list) and value:
-            encode = repr if _int_records(value) else _RECORD.encode
-            fields.append(head + "[\n" + ",\n".join(map(encode, value)) + "\n]")
+            fields.append(head + "[\n" + ",\n".join(_written(value)) + "\n]")
         else:
             fields.append(head + _RECORD.encode(value))
     return "{\n" + ",\n".join(fields) + "\n}\n"

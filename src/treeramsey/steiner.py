@@ -14,10 +14,10 @@ validated by point incidence (every point on p+1 lines that together
 reach every point), which forces exact pair cover and, by counting,
 that every two lines meet exactly once; the union of the lines through
 a point is an OR of N-bit line masks, so validation is O(N*p) ORs.
-Plane and system files are checked on read.  The glued system's
-provenance is written as int records aligned with its edges: the
-copies of an edge, each as its line's index followed by the source
-edge.
+Plane and system files are checked on read.  The glued system keeps
+the copies of each edge as int tuples aligned with its edges, each its
+line's index followed by the source edge, and writes them as they are
+as its provenance; the provenance mapping is built only when read.
 """
 
 from __future__ import annotations
@@ -297,10 +297,10 @@ class SteinerWitness(NamedTuple):
     shared: tuple[int, ...]
 
 
-def _ell_sets_distinct(edges: list, ell: int) -> bool:
+def _ell_sets_distinct(edges: Sequence, ell: int) -> bool:
     """Whether no ell-subset (as combinations() yields it) repeats among
-    the distinct edges, decided without building a tuple when ell >= 1
-    and the edges are ints of one length k; False for any other input.
+    the edges, decided without building a tuple when ell >= 1 and the
+    edges are int tuples of one length k; False for any other input.
 
     Column j holds each edge's j-th vertex.  The subset at positions
     j_1 < ... < j_ell is keyed by the int x_{j_1} * B**(ell-1) + ... +
@@ -328,18 +328,18 @@ def is_partial_steiner(edges, k: int, ell: int) -> Optional[SteinerWitness]:
     (k, ell)-system.  An ell outside [0, k), or an edge of another size
     than k, is refused, also when there are no edges.
 
-    Copies of one edge do not collide.  When the distinct edges'
-    ell-sets are all distinct, which `_ell_sets_distinct` shows by one
-    set-size comparison, the answer is None; the per-subset scan for the
-    least witness runs only otherwise."""
+    Copies of one edge do not collide.  When no ell-set repeats, which
+    `_ell_sets_distinct` shows by one set-size comparison, the answer is
+    None; only otherwise (also for copies) are the edges sorted and
+    scanned subset by subset for the least witness."""
     if not 0 <= ell < k:
         raise ValueError(f"ell must be >= 0 and below the uniformity k = {k}, got {ell}")
-    edges = sorted(edges)
     sizes = set(map(len, edges)) - {k}
     if sizes:
         raise ValueError(f"every edge must have k = {k} vertices, got one of {min(sizes)}")
-    if _ell_sets_distinct(list(dict.fromkeys(map(tuple, edges))), ell):
+    if _ell_sets_distinct(edges, ell):
         return None
+    edges = sorted(edges)
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
     collisions = []
     for e in edges:
@@ -355,33 +355,36 @@ def is_partial_steiner(edges, k: int, ell: int) -> Optional[SteinerWitness]:
 
 @dataclass(frozen=True)
 class SteinerSystem:
-    """A system by its edge list: the glued system with per-edge
-    provenance, or a system file without params (no provenance)."""
+    """A system by its edge list: the glued system, whose `records[i]`
+    holds the copies of `edges[i]`, each as (line, s_1, ..., s_k): the
+    index of the line it was placed on, then the source edge's vertices;
+    or a system file without params (no records)."""
 
     v: int
     k: int
     edges: tuple[tuple[int, ...], ...]
-    provenance: dict[tuple[int, ...], tuple[tuple[int, tuple[int, ...]], ...]]
+    records: tuple[tuple[tuple[int, ...], ...], ...] = ()
 
     @property
     def vertex_count(self) -> int:
         return self.v
 
+    @functools.cached_property
+    def provenance(self) -> dict[tuple[int, ...], tuple[tuple[int, tuple[int, ...]], ...]]:
+        """Each edge's copies as (line, source edge) pairs, in line order."""
+        return {
+            e: tuple((r[0], r[1:]) for r in copies)
+            for e, copies in zip(self.edges, self.records)
+        }
+
     def to_json(self) -> dict:
-        """System document; `provenance[i]` lists the copies of
-        `edges[i]`, each as [line, s_1, ..., s_k]: the index of the line
-        it was placed on, then the source edge's vertices."""
+        """System document, its `provenance` the records; rows stay tuples."""
         return {
             "schema": SYSTEM_SCHEMA,
             "v": self.v,
             "k": self.k,
-            "edges": list(map(list, self.edges)),
-            # an inner comprehension costs a call per edge; most edges have one copy
-            "provenance": [
-                [[line, *src] for line, src in copies] if len(copies) > 1
-                else [[copies[0][0], *copies[0][1]]]
-                for copies in map(self.provenance.__getitem__, self.edges)
-            ] if self.provenance else [],
+            "edges": list(self.edges),
+            "provenance": list(self.records),
         }
 
 
@@ -391,9 +394,11 @@ def assemble_h(system, plane: ProjectivePlane, seed: int) -> SteinerSystem:
     The system is padded with isolated vertices up to p, then each line
     receives it through a seeded random injection of [p] into the
     line's p+1 points (per-line sub-seeds are derived by counter, so
-    line iteration order does not matter).  For k >= 2, duplicate edges
-    across lines cannot arise (two lines share one point); images that
-    do coincide, as at k = 1, are merged, their copies kept in line order.
+    line iteration order does not matter).  Images and records are built
+    from the source edges' vertex columns and sorted together by image.
+    For k >= 2, duplicate edges across lines cannot arise (two lines
+    share one point); images that do coincide, as at k = 1, are merged,
+    their copies kept in line order.
     """
     p = plane.order
     v_sys = system.vertex_count
@@ -401,29 +406,26 @@ def assemble_h(system, plane: ProjectivePlane, seed: int) -> SteinerSystem:
         raise ValueError(
             f"plane of order {p} is too small for a system on {v_sys} vertices"
         )
-    edges = system.edges
-    # one getter of each edge's zero-based positions, made once; itemgetter
-    # of a single index returns the bare item, so shorter edges use a slice
-    getters = [
-        operator.itemgetter(*(v - 1 for v in e)) if len(e) > 1
-        else operator.itemgetter(slice(e[0] - 1, e[0]) if e else slice(0))
-        for e in edges
-    ]
+    columns = [list(map(operator.itemgetter(j), system.edges)) for j in range(system.k)]
     images: list[tuple[int, ...]] = []
-    sources: list[tuple[int, tuple[int, ...]]] = []
+    records: list[tuple[int, ...]] = []
     for line_id, line in enumerate(plane.lines):
         rng = random.Random(f"assemble:{seed}:{line_id}")
-        placed = _shuffled(list(line), rng)  # positions 0..p-1 host vertices 1..p
-        images += [tuple(sorted(image_of(placed))) for image_of in getters]
-        sources += zip(itertools.repeat(line_id), edges)
-    provenance = dict(zip(images, zip(sources)))  # one copy per image
-    if len(provenance) < len(images):  # some images coincide: keep all their copies
-        merged: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
-        for image, source in zip(images, sources):
-            merged.setdefault(image, []).append(source)
-        provenance = {e: tuple(copies) for e, copies in merged.items()}
-    out_edges = tuple(sorted(provenance))
-    return SteinerSystem(plane.num_points, system.k, out_edges, provenance)
+        # shuffled positions 0..p-1 host vertices 1..p
+        host = [0, *_shuffled(line, rng)].__getitem__
+        images += map(tuple, map(sorted, zip(*[map(host, c) for c in columns])))
+        records += zip(itertools.repeat(line_id), *columns)
+    order = sorted(range(len(images)), key=images.__getitem__)  # stable: line order
+    edges = tuple(map(images.__getitem__, order))
+    copies = map(records.__getitem__, order)
+    if any(map(operator.eq, edges, edges[1:])):  # some images coincide: merge
+        merged: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for e, record in zip(edges, copies):
+            merged.setdefault(e, []).append(record)
+        edges, copies = tuple(merged), map(tuple, merged.values())
+    else:
+        copies = zip(copies)
+    return SteinerSystem(plane.num_points, system.k, edges, tuple(copies))
 
 
 @dataclass(frozen=True)
@@ -575,7 +577,7 @@ def read_system(path) -> BlowupSystem | SteinerSystem:
     edges = sorted(edge_tuples(doc["edges"], k, v))
     params = doc.get("params")
     if params is None:
-        return SteinerSystem(v, k, tuple(edges), {})
+        return SteinerSystem(v, k, tuple(edges))
     if int_rows([[params.get("n"), params.get("k"), params.get("m")], params.get("I")]) is None:
         raise ValueError(
             f"system params must hold integers n, k, m and a list of integers I, "

@@ -858,7 +858,7 @@ class TestMalformedSteinerFiles:
     def test_bad_last_edge_of_a_large_file(self, tmp_path, capsys, glued_doc, bad, message):
         from treeramsey.reporting import dump_records
 
-        assert glued_doc["edges"][-1] == [861, 868, 870]
+        assert glued_doc["edges"][-1] == (861, 868, 870)
         path = tmp_path / "h.json"
         path.write_text(dump_records(dict(glued_doc, edges=glued_doc["edges"][:-1] + [bad])))
         assert run(["steiner", "check", "--file", str(path), "--ell", "2"]) == 2

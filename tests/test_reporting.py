@@ -76,15 +76,33 @@ _SCALARS = (
 _VALUES = st.recursive(
     _SCALARS,
     lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
     | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=10,
+)
+# int tuples of one length (edges), and records holding one of them
+# (provenance with one copy), or of mixed lengths and copy counts
+_TUPLE_ROWS = st.integers(0, 4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(), min_size=n, max_size=n).map(tuple), max_size=6)
 )
 _DOCS = st.dictionaries(
     st.text(max_size=5),
     _VALUES | st.lists(_VALUES, max_size=6)
-    | st.lists(st.lists(st.integers(0, 9), max_size=3), max_size=6),
+    | st.lists(st.lists(st.integers(0, 9), max_size=3), max_size=6)
+    | _TUPLE_ROWS | _TUPLE_ROWS.map(lambda rows: [(row,) for row in rows])
+    | st.lists(st.lists(st.integers(0, 9), max_size=3).map(tuple), max_size=6)
+    | st.lists(st.lists(st.tuples(st.integers(0, 9)), max_size=2).map(tuple), max_size=4),
     max_size=5,
 )
+
+
+def listed(value):
+    """value with every tuple read as a list, as json.loads reads it."""
+    if isinstance(value, (list, tuple)):
+        return [listed(x) for x in value]
+    if isinstance(value, dict):
+        return {key: listed(x) for key, x in value.items()}
+    return value
 
 
 def records_oracle(doc: dict) -> str:
@@ -107,9 +125,11 @@ class _Level(enum.IntEnum):
 class TestRecords:
     @settings(max_examples=400, deadline=None)
     @given(_DOCS)
-    # on the edge of the repr path: int lists but for one bool, float,
-    # IntEnum or empty record, a list mixing ints and int lists, and
-    # provenance-shaped lists of int lists, one holding a bool
+    # on the edge of the repr and template paths: int lists or tuples
+    # but for one bool, float, IntEnum or empty record, a list mixing
+    # ints and int lists, provenance-shaped lists of int lists, one
+    # holding a bool, tuple rows of mixed lengths or kinds, and records
+    # of one tuple row but for a bool, a second copy or a list
     @example({"edges": [[1, 2], [3, True]]})
     @example({"edges": [[1, 2], [1.0, 3]]})
     @example({"edges": [[1, _Level.ONE], [2, 3]]})
@@ -119,16 +139,25 @@ class TestRecords:
     @example({"provenance": [[[0, 1, 2, 3]], [[1, 4, True, 6]]]})
     @example({"a": [["], ["], [1]], "b": [[[1], [2]], [[3]]], "c": [[], [[]]]})
     @example({"a": [[[1, 2]], [[3], [4]]], "b": [1, [2], "], ["]})
+    @example({"edges": [(1, 2), (3, True)]})
+    @example({"edges": [(1, 2), (1.0, 3)]})
+    @example({"edges": [(1, _Level.ONE), (2, 3)]})
+    @example({"edges": [(1, 2), (3,)], "empty": [(), ()], "big": [(-(2**70), 2**70)]})
+    @example({"edges": [(1, 2), [3, 4]], "rows": [[1, 2], (3, 4)]})
+    @example({"provenance": [((0, 1, 2, 3),), ((1, 4, 5, 6), (2, 7, 8, 9))]})
+    @example({"provenance": [((0, 1, 2, 3),), ((1, 4, True, 6),)]})
+    @example({"provenance": [((0, 1, 2, 3),), ((1, 4, 5),)], "empty": [((),)]})
+    @example({"provenance": [((0, 1, 2, 3),), ([1, 4, 5, 6],)], "mixed": [((0, 1),), (2, 3)]})
     def test_round_trip_one_item_per_line(self, doc):
         text = dump_records(doc)
-        assert json.loads(text) == doc
+        assert json.loads(text) == listed(doc)
         assert text == records_oracle(doc)
         lines = text.split("\n")
         for key, value in doc.items():
             if isinstance(value, list) and value:
                 start = lines.index(json.dumps(key) + ": [") + 1
                 block = lines[start:start + len(value) + 1]
-                assert [json.loads(ln.rstrip(",")) for ln in block[:-1]] == value
+                assert [json.loads(ln.rstrip(",")) for ln in block[:-1]] == listed(value)
                 assert block[-1] in ("]", "],")
 
     def test_layout(self):

@@ -23,6 +23,7 @@ from treeramsey import (
     validate_projective_plane,
 )
 from treeramsey.families import FLAVOR_G, edge_tuples
+from treeramsey.reporting import dump_records
 from treeramsey import steiner
 from treeramsey.steiner import (
     SYSTEM_SCHEMA,
@@ -32,6 +33,7 @@ from treeramsey.steiner import (
     read_system,
 )
 
+from assembly_oracle import assemble_by_edge, glued_doc_by_edge
 from partial_steiner_oracle import is_partial_steiner as partial_steiner_oracle
 
 PRIMES_TO_31 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
@@ -450,6 +452,60 @@ class TestAssembly:
             assemble_h(system, build_projective_plane(13), seed=0)
 
 
+class TestAssemblyMatchesOracle:
+    """assemble_h against the per-edge assembly it replaced: the same
+    edges, provenance and file bytes."""
+
+    @staticmethod
+    def copies_per_edge(system, plane, seed):
+        glued = assemble_h(system, plane, seed)
+        edges, provenance = assemble_by_edge(system, plane, seed)
+        assert glued.edges == edges
+        assert glued.provenance == provenance
+        assert dump_records(glued.to_json()) == dump_records(
+            glued_doc_by_edge(glued.v, glued.k, edges, provenance)
+        )
+        return set(map(len, provenance.values()))
+
+    @pytest.mark.parametrize("order", [2, 3, 5, 7])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_seeded_systems(self, k, order):
+        # random edge sets on up to p vertices, unsorted; below k
+        # vertices (k = 4 at orders 2 and 3) the system has no edges
+        rng = random.Random(f"assembly-oracle:{k}:{order}")
+        plane = build_projective_plane(order)
+        copies = set()
+        for seed in range(5):
+            v = rng.randint(min(k, order), order)
+            subsets = list(itertools.combinations(range(1, v + 1), k))
+            edges = rng.sample(subsets, rng.randint(min(1, len(subsets)), len(subsets)))
+            copies |= self.copies_per_edge(SteinerSystem(v, k, tuple(edges)), plane, seed)
+        # at k = 1 the images of several lines meet, and their copies are merged
+        assert max(copies) > 1 if k == 1 else copies == ({1} if k <= order else set())
+
+    @pytest.mark.parametrize("system,order", [
+        (build_blowup(3, 3, (1, 2), m=1), 5),
+        (build_blowup(4, 4, (1, 2, 3), m=1), 7),
+        (build_blowup(4, 3, (1, 2), m=1), 11),
+        (toy_blowup(), 17),
+    ], ids=["n3k3m1", "n4k4m1", "n4k3m1", "n3k3m2"])
+    def test_blowups(self, system, order):
+        for seed in (0, 1, 99):
+            assert self.copies_per_edge(system, build_projective_plane(order), seed) == {1}
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_random_systems(self, data):
+        order = data.draw(st.sampled_from([2, 3, 5, 7]))
+        k = data.draw(st.integers(1, min(4, order)))
+        v = data.draw(st.integers(k, order))
+        edge = st.sets(st.integers(1, v), min_size=k, max_size=k)
+        edges = data.draw(st.lists(edge.map(sorted).map(tuple), unique=True, max_size=12))
+        seed = data.draw(st.integers(0, 2**32))
+        plane = build_projective_plane(order)
+        self.copies_per_edge(SteinerSystem(v, k, tuple(edges)), plane, seed)
+
+
 class TestReadSystem:
     @staticmethod
     def write(path, obj):
@@ -494,7 +550,7 @@ class TestReadSystem:
     def test_one_uniform_file_reads(self, tmp_path):
         path = self.write(tmp_path / "k1.json",
                           {"schema": SYSTEM_SCHEMA, "v": 2, "k": 1, "edges": [[2], [1]]})
-        assert read_system(path) == SteinerSystem(2, 1, ((1,), (2,)), {})
+        assert read_system(path) == SteinerSystem(2, 1, ((1,), (2,)))
 
     def test_sizes_compared_before_the_blowup_is_built(self, tmp_path, monkeypatch):
         # n = 10**6 names a blow-up with about 5 * 10**11 connector sets;
